@@ -9,12 +9,10 @@
 // (weighted greedy over the full network). The first --warmup slots are
 // excluded — they fill the queues and adopt the first schedule.
 //
-// Every size is timed once per schedule policy (max-weight,
-// max-weight-incremental, ahm), and each row carries p99_over_p50 — the
-// recompute-tail-to-serve-floor ratio the CI gate ratchets for the
-// incremental policy. The two max-weight policies must serve identical
-// packet counts (they adopt bit-identical schedules by construction), and
-// every row re-runs untimed to prove deterministic_ok.
+// Every size is timed once per schedule policy (max-weight, ahm), and each
+// row carries p99_over_p50 — the recompute-tail-to-serve-floor ratio the CI
+// gate ratchets for max-weight. Every row re-runs untimed to prove
+// deterministic_ok.
 //
 // The harness exits nonzero if any throughput is non-finite/non-positive
 // or if the conservation invariant broke, so CI can gate on the exit code.
@@ -242,9 +240,8 @@ int main(int argc, char** argv) {
   const double rate = flags.get_double("rate");
   const double beta = flags.get_double("beta");
 
-  const serve::PolicyKind kPolicies[] = {
-      serve::PolicyKind::MaxWeight, serve::PolicyKind::MaxWeightIncremental,
-      serve::PolicyKind::Ahm};
+  const serve::PolicyKind kPolicies[] = {serve::PolicyKind::MaxWeight,
+                                         serve::PolicyKind::Ahm};
 
   std::vector<std::string> header = {"n",      "policy",  "slots/sec",
                                      "p50_us", "p99_us",  "max_us",
@@ -278,19 +275,6 @@ int main(int argc, char** argv) {
     ok = ok && std::isfinite(r.slots_per_sec) && r.slots_per_sec > 0.0 &&
          std::isfinite(r.p99_slot_us) && r.p99_slot_us > 0.0 &&
          r.conservation_ok && r.deterministic_ok;
-  }
-  // The incremental policy replays the from-scratch comparator, so per
-  // size the two max-weight rows must serve the exact same packet count —
-  // a mismatch means the bit-identity contract broke.
-  for (std::size_t k = 0; k + 1 < results.size(); ++k) {
-    if (results[k].policy == serve::PolicyKind::MaxWeight &&
-        results[k + 1].policy == serve::PolicyKind::MaxWeightIncremental &&
-        results[k].served != results[k + 1].served) {
-      std::cerr << "perf_serve: max-weight policies diverged at n="
-                << results[k].n << " (" << results[k].served << " vs "
-                << results[k + 1].served << " served)\n";
-      ok = false;
-    }
   }
   if (!ok) {
     std::cerr << "perf_serve: non-finite measurement, determinism failure, "

@@ -10,7 +10,7 @@ numbers against the committed artifact.
 Counter flattening: each entry of the top-level "sizes" array becomes
 "n<n>.<counter>" (e.g. "n256.speedup_batched"); entries that also carry a
 "policy" string (perf_serve emits one row per schedule policy) become
-"n<n>.<policy>.<counter>" (e.g. "n256.max-weight-incremental.p99_slot_us");
+"n<n>.<policy>.<counter>" (e.g. "n256.max-weight.p99_slot_us");
 nested objects such as "rwm" become "rwm.<counter>"; top-level numeric
 fields keep their name. Only counters present in BOTH files are compared
 (CI runs reduced size sweeps, so the intersection is the contract).
@@ -231,7 +231,7 @@ def self_test():
         print("self-test FAILURE: allocs_per_slot must gate lower-is-better")
         return 1
     print("self-test: allocs_per_slot gates lower-is-better: behaved")
-    if direction("n4096.max-weight-incremental.p99_over_p50") != "down":
+    if direction("n4096.max-weight.p99_over_p50") != "down":
         print("self-test FAILURE: p99_over_p50 must gate lower-is-better")
         return 1
     print("self-test: p99_over_p50 gates lower-is-better: behaved")

@@ -78,144 +78,6 @@ WeightedCapacityResult weighted_greedy_capacity(
   return result;
 }
 
-WeightedGreedyOracle::WeightedGreedyOracle(const Network& net, double beta)
-    : n_(net.size()), beta_(beta), has_geometry_(net.has_geometry()) {
-  require(beta > 0.0, "WeightedGreedyOracle: beta must be positive");
-  a_.resize(n_ * n_);
-  skip_.resize(n_);
-  if (has_geometry_) length_.resize(n_);
-  const units::Threshold beta_t(beta);
-  for (LinkId j = 0; j < n_; ++j) {
-    double* row = a_.data() + j * n_;
-    // Calling the real function per pair (rather than inlining its
-    // expression) is what makes the cache bit-identical by construction.
-    for (LinkId i = 0; i < n_; ++i) {
-      row[i] = model::affectance_raw(net, j, i, beta_t);
-    }
-  }
-  for (LinkId i = 0; i < n_; ++i) {
-    skip_[i] = net.signal(i) / beta_ <= net.noise() ? 1 : 0;
-    if (has_geometry_) length_[i] = net.link(i).length();
-  }
-  // Cache-blocked transpose: at_ row j is the affectance *onto* link j from
-  // every sender, so compute() can copy an accepted link's incoming column
-  // with one sequential sweep instead of a strided gather.
-  at_.resize(n_ * n_);
-  constexpr std::size_t kBlock = 64;
-  for (std::size_t jb = 0; jb < n_; jb += kBlock) {
-    const std::size_t jend = std::min(jb + kBlock, n_);
-    for (std::size_t ib = 0; ib < n_; ib += kBlock) {
-      const std::size_t iend = std::min(ib + kBlock, n_);
-      for (std::size_t j = jb; j < jend; ++j) {
-        for (std::size_t i = ib; i < iend; ++i) {
-          at_[j * n_ + i] = a_[i * n_ + j];
-        }
-      }
-    }
-  }
-}
-
-double WeightedGreedyOracle::affectance(LinkId sender, LinkId receiver) const {
-  require(sender < n_ && receiver < n_,
-          "WeightedGreedyOracle::affectance: id out of range");
-  return a_[sender * n_ + receiver];
-}
-
-// raysched:hot
-void WeightedGreedyOracle::compute(const std::vector<double>& weights,
-                                   LinkSet& selected,
-                                   const GreedyOptions& options) {
-  require(options.tau > 0.0 && options.tau <= 1.0,
-          "WeightedGreedyOracle: tau must be in (0, 1]");
-  require(weights.size() == n_,
-          "WeightedGreedyOracle: weights size must equal network size");
-  for (double w : weights) {
-    require(w >= 0.0, "WeightedGreedyOracle: weights must be >= 0");
-  }
-
-  // Zero-weight links are skipped by the admission loop whatever their
-  // rank, so sorting only the nonzero-weight candidates gives the same
-  // candidate sequence (stable_sort keeps ties in ascending-id order, the
-  // order they are collected in) at O(m log m) for m backlogged links.
-  order_scratch_.clear();
-  for (LinkId i = 0; i < n_; ++i) {
-    if (!util::fp::exact_zero(weights[i])) order_scratch_.push_back(i);
-  }
-  std::stable_sort(order_scratch_.begin(), order_scratch_.end(),
-                   [&](LinkId a, LinkId b) {
-                     if (weights[a] != weights[b]) {
-                       return weights[a] > weights[b];
-                     }
-                     if (has_geometry_) return length_[a] < length_[b];
-                     return a < b;
-                   });
-
-  selected.clear();
-  in_scratch_.assign(n_, 0.0);
-  // on_scratch_[i] carries the running sum of affectance from every selected
-  // sender onto receiver i, accumulated in selection order — the exact value
-  // the free function's per-candidate on_i loop would reach. Checking the
-  // full sum instead of each prefix is decision-identical because the terms
-  // are non-negative (prefix sums are monotone), so the selected set and
-  // every stored in/on value stay bit-for-bit equal to the free function
-  // while each candidate costs O(|selected|) instead of O(|selected|) cache
-  // misses across two matrix rows.
-  on_scratch_.assign(n_, 0.0);
-  // cols_scratch_ row k is a verbatim copy of accepted link selected[k]'s
-  // incoming-affectance column (at_ row), so the per-candidate admission
-  // check reads a compact |selected| x n buffer that stays cache-resident
-  // instead of touching |selected| scattered lines of the n x n matrix.
-  // Copied bits are the same doubles, in the same selection order, so the
-  // decisions and stored sums stay bit-identical to the free function.
-  for (LinkId i : order_scratch_) {
-    if (util::fp::exact_zero(weights[i])) continue;  // worthless links
-    if (skip_[i] != 0) continue;
-    if (on_scratch_[i] > options.tau) continue;
-    // Row stride n_+8: keeps successive rows off the same cache sets (a
-    // power-of-two stride would alias every row's element i to one set).
-    const std::size_t stride = n_ + 8;
-    const std::size_t ns = selected.size();
-    bool ok = true;
-    for (std::size_t k = 0; k < ns; ++k) {
-      if (in_scratch_[selected[k]] + cols_scratch_[k * stride + i] >
-          options.tau) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    for (std::size_t k = 0; k < ns; ++k) {
-      in_scratch_[selected[k]] += cols_scratch_[k * stride + i];
-    }
-    in_scratch_[i] = on_scratch_[i];
-    selected.push_back(i);
-    if (cols_scratch_.size() < (ns + 1) * stride) {
-      cols_scratch_.resize((ns + 1) * stride);
-    }
-    // One fused pass per accept: copy i's incoming column (at_ row) into the
-    // compact check buffer and stream i's outgoing row into the accumulator.
-    // The self-term lands on on_scratch_[i], which no later candidate reads
-    // (i is never re-examined).
-    double* cols = cols_scratch_.data() + ns * stride;
-    const double* col = at_.data() + i * n_;
-    const double* row = a_.data() + i * n_;
-    for (LinkId k = 0; k < n_; ++k) {
-      cols[k] = col[k];
-      on_scratch_[k] += row[k];
-    }
-  }
-  std::sort(selected.begin(), selected.end());
-}
-
-WeightedCapacityResult WeightedGreedyOracle::compute(
-    const std::vector<double>& weights, const GreedyOptions& options) {
-  WeightedCapacityResult result;
-  result.algorithm = "weighted-greedy-cached";
-  compute(weights, result.selected, options);
-  result.value = total_weight(result.selected, weights);
-  return result;
-}
-
 namespace {
 
 struct WeightedBranchState {

@@ -29,51 +29,6 @@ struct WeightedCapacityResult {
     const model::Network& net, double beta, const std::vector<double>& weights,
     const GreedyOptions& options = {});
 
-/// Repeated-call form of weighted_greedy_capacity bound to one
-/// (network, beta) pair: the constructor evaluates model::affectance_raw for
-/// every ordered pair once (O(n^2), the dominant per-call cost of the free
-/// function) and compute() replays the exact admission loop over the cached
-/// values. Because affectance_raw is a pure function of (network, j, i,
-/// beta), every comparison and accumulation sees the same doubles, so the
-/// selected set and total weight are bit-identical to the free function's —
-/// pinned by test_schedule_policy. The oracle copies what it needs and holds
-/// no reference to the network. compute()'s out-buffer form allocates
-/// nothing after warm-up (scratch members), which is what lets the serving
-/// loop's incremental policy call it every recompute.
-class WeightedGreedyOracle {
- public:
-  /// O(n^2) time and memory. Throws raysched::error unless beta > 0.
-  WeightedGreedyOracle(const model::Network& net, double beta);
-
-  [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] double beta() const { return beta_; }
-
-  /// The cached model::affectance_raw(net, sender, receiver, beta).
-  [[nodiscard]] double affectance(model::LinkId sender,
-                                  model::LinkId receiver) const;
-
-  /// Replays weighted_greedy_capacity over the cached matrix; `selected` is
-  /// overwritten with the chosen set in ascending id order.
-  void compute(const std::vector<double>& weights, model::LinkSet& selected,
-               const GreedyOptions& options = {});
-  [[nodiscard]] WeightedCapacityResult compute(
-      const std::vector<double>& weights, const GreedyOptions& options = {});
-
- private:
-  std::size_t n_ = 0;
-  double beta_ = 0.0;
-  bool has_geometry_ = false;
-  std::vector<double> a_;       // a_[j*n + i] = affectance_raw(j -> i)
-  std::vector<double> at_;      // transpose: at_[j*n + i] = a_[i*n + j]
-  std::vector<double> length_;  // link lengths (geometry networks only)
-  std::vector<char> skip_;      // 1 when signal(i)/beta <= noise
-  // compute() scratch, reused across calls (zero-alloc after warm-up).
-  std::vector<model::LinkId> order_scratch_;
-  std::vector<double> in_scratch_;
-  std::vector<double> on_scratch_;
-  std::vector<double> cols_scratch_;
-};
-
 /// Exact maximum-weight feasible set by branch and bound (remaining-weight
 /// pruning). Throws if net.size() > max_n.
 [[nodiscard]] WeightedCapacityResult exact_max_weight_feasible_set(

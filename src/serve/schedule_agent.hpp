@@ -2,8 +2,8 @@
 //
 // The serving loop must keep draining queues while a schedule recompute
 // runs. The agent executes the recompute — delegated to a pluggable
-// SchedulePolicy (serve/schedule_policy.hpp): from-scratch max-weight,
-// incremental max-weight, or the AHM stability algorithm — on its own
+// SchedulePolicy (serve/schedule_policy.hpp): max-weight or the AHM
+// stability algorithm — on its own
 // sim::ThreadPool and hands the result back under a *slot-deterministic*
 // protocol:
 //
@@ -30,9 +30,8 @@
 //
 // The policy object is touched only inside the worker task; tasks are
 // strictly serialized (one in flight, reap() joins the pool), so stateful
-// policies (incremental kernel, AHM probabilities) need no locking. The
-// serving loop reads policy state for snapshots only while nothing is in
-// flight.
+// policies (AHM probabilities) need no locking. The serving loop reads
+// policy state for snapshots only while nothing is in flight.
 //
 // With threads == 1 the pool runs the task inline in submit() — the
 // degraded synchronous mode for single-core hosts — and by the protocol

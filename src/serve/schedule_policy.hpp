@@ -5,27 +5,18 @@
 // serving loop can host the paper-adjacent scheduling algorithms side by
 // side:
 //
-//   max-weight              The exactness fallback: weighted_greedy_capacity
-//                           evaluated from scratch on every request. O(n^2)
-//                           affectance work per recompute — the latency
-//                           pathology BENCH_9 documented (p99/p50 ~ 52x at
-//                           n=4096).
-//   max-weight-incremental  Bit-identical schedules (pinned by
-//                           tests/test_schedule_policy.cpp) from a
-//                           persistent WeightedGreedyOracle that caches the
-//                           affectance matrix once, plus a persistent
-//                           SuccessProbabilityKernel in set_probabilities
-//                           mode that absorbs churn and schedule deltas
-//                           through remove_link/update_links (O((k+log n)n)
-//                           per recompute instead of O(n^2)) and prices each
-//                           adopted schedule as a Theorem-1 expected service
-//                           rate (RecomputeOutcome::expected_rate).
-//   ahm                     The Ásgeirsson–Halldórsson–Mitra stability
-//                           algorithm (algorithms/ahm.hpp): per-link
-//                           adaptive transmission probabilities driven by
-//                           served/failed feedback. History-dependent, so
-//                           its probability vector is the one policy state
-//                           a snapshot must persist.
+//   max-weight  weighted_greedy_capacity evaluated from scratch on every
+//               request: the paper's weighted-threshold utility (Section 2)
+//               maximized greedily over a feasibility-certified set. Each
+//               adopted schedule is priced as its Theorem-1 expected
+//               success count (PolicyResult::expected_rate) by
+//               core::batch_expected_successes_active, O(|S|^2) per
+//               recompute.
+//   ahm         The Ásgeirsson–Halldórsson–Mitra stability algorithm
+//               (algorithms/ahm.hpp): per-link adaptive transmission
+//               probabilities driven by served/failed feedback.
+//               History-dependent, so its probability vector is the one
+//               policy state a snapshot must persist.
 //
 // Concurrency contract: a policy instance is owned by one ScheduleAgent and
 // is touched only inside the agent's strictly-serialized worker task (one
@@ -56,8 +47,7 @@ namespace raysched::serve {
 
 enum class PolicyKind : std::uint8_t {
   MaxWeight = 0,
-  MaxWeightIncremental = 1,
-  Ahm = 2,
+  Ahm = 1,
 };
 
 /// Stable lowercase name (snapshot fingerprint + CLI flag values).
@@ -78,12 +68,12 @@ struct ScheduleRequest {
   /// scheduled (inactive, shed, or worthless).
   std::vector<double> weights;
   /// Links that went inactive since the previous submit, ascending ids.
-  /// The incremental policy retires them from its kernel state.
+  /// Snapshots persist it with the in-flight request; no current policy
+  /// reads it (a departed link already carries weight 0).
   std::vector<model::LinkId> departed;
   /// Feedback for the AHM policy: the links of the previously adopted
   /// schedule that attempted service since the last submit, with a parallel
-  /// flag vector (1 = served at least one packet). Empty for the max-weight
-  /// policies.
+  /// flag vector (1 = served at least one packet). Empty for max-weight.
   model::LinkSet feedback_schedule;
   std::vector<char> feedback_success;
 };
@@ -92,7 +82,7 @@ struct ScheduleRequest {
 struct PolicyResult {
   model::LinkSet schedule;  ///< ascending link ids
   /// Theorem-1 expected number of successful links if exactly `schedule`
-  /// transmits (incremental policy only; 0 elsewhere). Reporting-only.
+  /// transmits (max-weight only; 0 for AHM). Reporting-only.
   double expected_rate = 0.0;
 };
 
@@ -108,20 +98,16 @@ class SchedulePolicy {
   [[nodiscard]] virtual PolicyResult compute(const ScheduleRequest& request) = 0;
 
   /// History-dependent state a snapshot must persist (the AHM probability
-  /// vector); empty when compute() is a pure function of the request (both
-  /// max-weight policies, whose caches are rebuilt deterministically).
+  /// vector); empty when compute() is a pure function of the request
+  /// (max-weight).
   [[nodiscard]] virtual std::vector<double> persisted_state() const {
     return {};
   }
 
-  /// Restores policy state on a freshly constructed policy: `state` is a
-  /// persisted_state() value and `adopted_schedule` the schedule the
-  /// restoring service adopted last (the incremental policy re-seeds its
-  /// kernel from it). Throws raysched::error on a malformed state.
-  virtual void restore_state(const std::vector<double>& state,
-                             const model::LinkSet& adopted_schedule) {
+  /// Restores policy state on a freshly constructed policy from a
+  /// persisted_state() value. Throws raysched::error on a malformed state.
+  virtual void restore_state(const std::vector<double>& state) {
     (void)state;
-    (void)adopted_schedule;
   }
 };
 
@@ -133,10 +119,9 @@ struct PolicyOptions {
   std::uint64_t seed = 1;
 };
 
-/// Builds a policy bound to (net, beta). The policy copies what it needs;
-/// it does not hold a reference to `net`... except the from-scratch
-/// max-weight policy, which evaluates the network directly — its caller
-/// (the agent) already guarantees the network outlives it.
+/// Builds a policy bound to (net, beta). The max-weight policy evaluates
+/// the network directly, so `net` must outlive it (the agent guarantees
+/// this); AHM copies only the link count.
 [[nodiscard]] std::unique_ptr<SchedulePolicy> make_schedule_policy(
     PolicyKind kind, const model::Network& net, units::Threshold beta,
     const PolicyOptions& options = {});

@@ -597,7 +597,7 @@ void Service::restore(const ServeSnapshot& snap) {
   // the pre-submit capture, so replaying the request below reproduces the
   // exact post-submit policy state of the killed service.
   try {
-    agent_.policy().restore_state(snap.policy_state, snap.schedule);
+    agent_.policy().restore_state(snap.policy_state);
   } catch (const error& e) {
     throw coded_error(ErrorCode::SnapshotFormat, e.what());
   }

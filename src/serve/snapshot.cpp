@@ -211,6 +211,10 @@ ServeSnapshot read_snapshot(std::istream& is) {
   is >> snap.policy;
   require_code(static_cast<bool>(is) && !snap.policy.empty(),
                ErrorCode::SnapshotFormat, "read_snapshot: bad policy name");
+  // Legacy alias: the retired max-weight-incremental policy persisted no
+  // state and adopted the same schedules as max-weight, so its snapshots
+  // replay bit-identically under max-weight.
+  if (snap.policy == "max-weight-incremental") snap.policy = "max-weight";
   expect_token(is, "slot");
   snap.next_slot = read_u64(is, "slot");
   expect_token(is, "health");

@@ -1,14 +1,12 @@
 // Tests for the pluggable schedule-recompute policies and their supporting
-// pieces: the WeightedGreedyOracle's bit-identity to the from-scratch
-// greedy, the incremental max-weight policy's bit-identity to the
-// from-scratch policy under churn, the AHM probability state machine, and
-// the saturating slot arithmetic the agent's deadline math runs on.
+// pieces: the max-weight policy's schedule and Theorem-1 price, the AHM
+// probability state machine, and the saturating slot arithmetic the agent's
+// deadline math runs on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -17,9 +15,7 @@
 namespace raysched::serve {
 namespace {
 
-using model::LinkId;
 using model::LinkSet;
-using raysched::testing::hand_matrix_network;
 using raysched::testing::paper_network;
 
 std::vector<double> random_weights(std::size_t n, util::RngStream& rng) {
@@ -31,148 +27,52 @@ std::vector<double> random_weights(std::size_t n, util::RngStream& rng) {
   return w;
 }
 
-// ---- WeightedGreedyOracle -------------------------------------------------
-
-TEST(WeightedGreedyOracle, MatchesFreeFunctionBitwiseOnGeometry) {
-  auto net = paper_network(24, 51);
-  const double beta = 2.5;
-  algorithms::WeightedGreedyOracle oracle(net, beta);
-  ASSERT_EQ(oracle.size(), net.size());
-  util::RngStream rng(17);
-  LinkSet cached;
-  for (int round = 0; round < 25; ++round) {
-    const std::vector<double> w = random_weights(net.size(), rng);
-    oracle.compute(w, cached);
-    const algorithms::WeightedCapacityResult direct =
-        algorithms::weighted_greedy_capacity(net, beta, w);
-    EXPECT_EQ(cached, direct.selected) << "round " << round;
-    const algorithms::WeightedCapacityResult owned = oracle.compute(w);
-    EXPECT_EQ(owned.selected, direct.selected);
-    EXPECT_EQ(owned.value, direct.value);  // bitwise: same doubles summed
-  }
-}
-
-TEST(WeightedGreedyOracle, MatchesFreeFunctionOnMatrixNetwork) {
-  // Geometry-free network: the tie-break comparator falls back to link id.
-  auto net = hand_matrix_network(0.1);
-  const double beta = 1.2;
-  algorithms::WeightedGreedyOracle oracle(net, beta);
-  util::RngStream rng(29);
-  LinkSet cached;
-  for (int round = 0; round < 10; ++round) {
-    std::vector<double> w = random_weights(net.size(), rng);
-    if (round == 0) w = {5.0, 5.0, 5.0};  // all-ties: id order decides
-    oracle.compute(w, cached);
-    EXPECT_EQ(cached,
-              algorithms::weighted_greedy_capacity(net, beta, w).selected)
-        << "round " << round;
-  }
-}
-
-TEST(WeightedGreedyOracle, CachesTheRawAffectance) {
-  auto net = paper_network(8, 52);
-  const units::Threshold beta(2.5);
-  algorithms::WeightedGreedyOracle oracle(net, beta.value());
-  for (LinkId j = 0; j < net.size(); ++j) {
-    for (LinkId i = 0; i < net.size(); ++i) {
-      EXPECT_EQ(oracle.affectance(j, i),
-                model::affectance_raw(net, j, i, beta))
-          << j << "->" << i;
-    }
-  }
-}
-
-TEST(WeightedGreedyOracle, ValidatesInput) {
-  auto net = hand_matrix_network();
-  EXPECT_THROW(algorithms::WeightedGreedyOracle(net, 0.0), raysched::error);
-  algorithms::WeightedGreedyOracle oracle(net, 1.0);
-  LinkSet out;
-  EXPECT_THROW(oracle.compute({1.0, 2.0}, out), raysched::error);  // size
-  EXPECT_THROW(
-      oracle.compute({1.0, std::numeric_limits<double>::quiet_NaN(), 1.0},
-                     out),
-      raysched::error);
-}
-
 // ---- policy construction --------------------------------------------------
 
 TEST(SchedulePolicy, KindNamesRoundTrip) {
-  for (PolicyKind kind : {PolicyKind::MaxWeight,
-                          PolicyKind::MaxWeightIncremental, PolicyKind::Ahm}) {
+  for (PolicyKind kind : {PolicyKind::MaxWeight, PolicyKind::Ahm}) {
     EXPECT_EQ(policy_kind_from_string(to_string(kind)), kind);
   }
   EXPECT_THROW(policy_kind_from_string("round-robin"), raysched::error);
 }
 
-// ---- incremental max-weight vs from-scratch -------------------------------
+// ---- max-weight ------------------------------------------------------------
 
-TEST(SchedulePolicy, IncrementalMatchesFromScratchUnderChurn) {
+TEST(SchedulePolicy, MaxWeightPricesItsScheduleBitwise) {
+  // The schedule is weighted greedy's, and expected_rate is exactly the
+  // Theorem-1 expected success count of that set — same bits as the fused
+  // batch aggregate, so the diagnostic has a single definition.
   auto net = paper_network(20, 53);
   const units::Threshold beta(2.5);
-  auto scratch = make_schedule_policy(PolicyKind::MaxWeight, net, beta);
-  auto incremental =
-      make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
+  auto policy = make_schedule_policy(PolicyKind::MaxWeight, net, beta);
+  EXPECT_EQ(policy->kind(), PolicyKind::MaxWeight);
+  EXPECT_TRUE(policy->persisted_state().empty());
 
   util::RngStream rng(61);
-  std::vector<char> active(net.size(), 1);
   for (std::uint64_t slot = 0; slot < 40; ++slot) {
     ScheduleRequest request;
     request.slot = slot;
-    // Scripted churn: links leave and rejoin; departed carries the leavers.
-    for (LinkId i = 0; i < net.size(); ++i) {
-      if (active[i] != 0 && rng.uniform() < 0.15) {
-        active[i] = 0;
-        request.departed.push_back(i);
-      } else if (active[i] == 0 && rng.uniform() < 0.3) {
-        active[i] = 1;
-      }
-    }
-    request.weights.assign(net.size(), 0.0);
-    for (LinkId i = 0; i < net.size(); ++i) {
-      if (active[i] != 0) request.weights[i] = rng.uniform() * 50.0;
-    }
-    const PolicyResult a = scratch->compute(request);
-    const PolicyResult b = incremental->compute(request);
-    EXPECT_EQ(a.schedule, b.schedule) << "slot " << slot;
-    // The incremental policy prices its schedule; the kernel's q is the
-    // schedule indicator, so the expected rate is positive whenever
-    // anything is scheduled, bounded by the schedule size.
-    if (!b.schedule.empty()) {
-      EXPECT_GT(b.expected_rate, 0.0) << "slot " << slot;
-      EXPECT_LE(b.expected_rate, static_cast<double>(b.schedule.size()));
+    request.weights = random_weights(net.size(), rng);
+    if (slot == 0) request.weights.assign(net.size(), 0.0);  // nothing due
+    const PolicyResult result = policy->compute(request);
+    EXPECT_EQ(result.schedule,
+              algorithms::weighted_greedy_capacity(net, beta.value(),
+                                                   request.weights)
+                  .selected)
+        << "slot " << slot;
+    const double direct =
+        core::batch_expected_successes_active(net, result.schedule, beta);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.expected_rate),
+              std::bit_cast<std::uint64_t>(direct))
+        << "slot " << slot;
+    if (result.schedule.empty()) {
+      EXPECT_EQ(result.expected_rate, 0.0);
     } else {
-      EXPECT_EQ(b.expected_rate, 0.0);
+      EXPECT_GT(result.expected_rate, 0.0) << "slot " << slot;
+      EXPECT_LE(result.expected_rate,
+                static_cast<double>(result.schedule.size()));
     }
   }
-}
-
-TEST(SchedulePolicy, IncrementalRestoreRebuildsDeterministically) {
-  auto net = paper_network(12, 54);
-  const units::Threshold beta(2.0);
-  auto a = make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
-
-  util::RngStream rng(71);
-  ScheduleRequest request;
-  request.slot = 0;
-  request.weights = random_weights(net.size(), rng);
-  const PolicyResult adopted = a->compute(request);
-  EXPECT_TRUE(a->persisted_state().empty());  // rebuilt, not serialized
-
-  // A fresh policy restored from (empty state, adopted schedule) must
-  // produce the same schedule for every subsequent request.
-  auto b = make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
-  b->restore_state({}, adopted.schedule);
-  for (std::uint64_t slot = 1; slot < 10; ++slot) {
-    ScheduleRequest next;
-    next.slot = slot;
-    next.weights = random_weights(net.size(), rng);
-    const PolicyResult ra = a->compute(next);
-    const PolicyResult rb = b->compute(next);
-    EXPECT_EQ(ra.schedule, rb.schedule) << "slot " << slot;
-    EXPECT_EQ(ra.expected_rate, rb.expected_rate) << "slot " << slot;
-  }
-  // A non-empty persisted state is a contract violation for this policy.
-  EXPECT_THROW(b->restore_state({0.5}, adopted.schedule), raysched::error);
 }
 
 // ---- AHM ------------------------------------------------------------------
@@ -266,7 +166,7 @@ TEST(SchedulePolicy, AhmPolicyIsSlotDeterministicAndRestorable) {
   ASSERT_EQ(state.size(), net.size());
 
   auto c = make_schedule_policy(PolicyKind::Ahm, net, beta, options);
-  c->restore_state(state, {});
+  c->restore_state(state);
   ScheduleRequest probe;
   probe.slot = 9;
   probe.weights.assign(net.size(), 1.0);

@@ -326,136 +326,113 @@ TEST(SuccessBatchIncremental, GuardsItsPreconditions) {
 }
 
 // ---------------------------------------------------------------------------
-// Lifecycle under churn: batched updates, departures, reset. Everything is
-// pinned bit-for-bit against sequential update_link and from-scratch
-// set_probabilities — the incremental serving policy relies on it.
+// Lifecycle under churn: update_link sequences that move the nonzero count
+// across the kernel's sparse/dense threshold (32 nonzero links at these
+// sizes), as coordinate ascent does when it climbs from q = 0. Every step
+// is pinned bit-for-bit against a from-scratch set_probabilities.
 // ---------------------------------------------------------------------------
 
-TEST(SuccessBatchLifecycle, BatchedUpdatesMatchSequentialBitwise) {
-  const std::size_t n = 33;  // non-power-of-two: padded leaves exercised
+/// Bitwise comparison of `kernel` against a fresh kernel seeded with `q`.
+void expect_matches_fresh(const SuccessProbabilityKernel& kernel,
+                          const model::Network& net, units::Threshold beta,
+                          const std::vector<double>& q, int round) {
+  SuccessProbabilityKernel fresh(net, beta);
+  fresh.set_probabilities(units::probabilities(q));
+  for (LinkId i = 0; i < q.size(); ++i) {
+    EXPECT_EQ(kernel.success_probabilities()[i],
+              fresh.success_probabilities()[i])
+        << "round " << round << " link " << i;
+  }
+  EXPECT_EQ(kernel.expected_successes(), fresh.expected_successes())
+      << "round " << round;
+}
+
+std::size_t nonzero_count(const std::vector<double>& q) {
+  std::size_t count = 0;
+  for (double v : q) count += v != 0.0 ? 1 : 0;
+  return count;
+}
+
+TEST(SuccessBatchLifecycle, ModeCrossingUpdatesMatchFromScratchBitwise) {
+  const std::size_t n = 40;  // non-power-of-two: padded leaves exercised
   auto net = paper_network(n, 44);
   const units::Threshold beta(2.5);
-  std::vector<double> q = random_profile(n, 0xABBA);
+  std::vector<double> q = random_profile(n, 0xABBA);  // 39 nonzero: dense
 
-  SuccessProbabilityKernel batched(net, beta);
-  SuccessProbabilityKernel sequential(net, beta);
-  batched.set_probabilities(units::probabilities(q));
-  sequential.set_probabilities(units::probabilities(q));
+  SuccessProbabilityKernel kernel(net, beta);
+  kernel.set_probabilities(units::probabilities(q));
 
   util::RngStream rng(2718);
-  for (int round = 0; round < 25; ++round) {
-    // Batches of varying size, duplicate-free, mixing 0/1 edges with
-    // interior values and adjacent leaf pairs (shared parents).
-    std::vector<std::pair<LinkId, units::Probability>> updates;
+  bool saw_sparse = false;
+  bool saw_dense = false;
+  for (int round = 0; round < 30; ++round) {
+    // Alternate five draining rounds (links drop to exact 0) with five
+    // filling rounds (exact 1 or interior values), so the nonzero count
+    // crosses the threshold in both directions. Rounds vary in size, hit
+    // adjacent leaf pairs (shared parents), and may repeat an id.
+    const bool draining = (round / 5) % 2 == 0;
     const std::size_t batch = 1 + rng.uniform_index(8);
-    std::vector<char> used(n, 0);
     for (std::size_t k = 0; k < batch; ++k) {
       const auto id = static_cast<LinkId>(rng.uniform_index(n));
-      if (used[id] != 0) continue;
-      used[id] = 1;
       const double v =
-          round % 6 == 0 ? 0.0 : round % 4 == 0 ? 1.0 : rng.uniform();
-      updates.emplace_back(id, units::Probability(v));
+          draining ? 0.0 : round % 4 == 0 ? 1.0 : rng.uniform();
+      q[id] = v;
+      kernel.update_link(id, units::Probability(v));
+      (nonzero_count(q) > 32 ? saw_dense : saw_sparse) = true;
+      expect_matches_fresh(kernel, net, beta, q, round);
     }
-    batched.update_links(updates);
-    for (const auto& [id, v] : updates) sequential.update_link(id, v);
-
-    for (LinkId i = 0; i < n; ++i) {
-      EXPECT_EQ(batched.success_probabilities()[i],
-                sequential.success_probabilities()[i])
-          << "round " << round << " link " << i;
-    }
-    EXPECT_EQ(batched.expected_successes(), sequential.expected_successes())
-        << "round " << round;
   }
+  EXPECT_TRUE(saw_sparse);
+  EXPECT_TRUE(saw_dense);
 }
 
 TEST(SuccessBatchLifecycle, ChurnInterleavingMatchesFromScratchBitwise) {
-  // The serving-loop pattern: departures (remove_link), arrivals and
-  // schedule flips (update_links), interleaved — always bit-for-bit equal
-  // to a fresh kernel seeded with the final profile.
-  const std::size_t n = 19;
+  // Departures (update_link to 0), arrivals and schedule flips,
+  // interleaved around the sparse/dense threshold — always bit-for-bit
+  // equal to a fresh kernel seeded with the current profile.
+  const std::size_t n = 40;
   auto net = paper_network(n, 45);
   const units::Threshold beta(2.0);
   std::vector<double> q(n, 0.0);
-  for (LinkId i = 0; i < n; i += 2) q[i] = 1.0;
+  for (LinkId i = 0; i < n; ++i) q[i] = i % 10 == 0 ? 0.0 : 1.0;  // 36 on
 
   SuccessProbabilityKernel kernel(net, beta);
   kernel.set_probabilities(units::probabilities(q));
 
   util::RngStream rng(555);
+  bool saw_sparse = false;
+  bool saw_dense = false;
   for (int round = 0; round < 30; ++round) {
     if (round % 3 == 0) {
       const auto gone = static_cast<LinkId>(rng.uniform_index(n));
-      kernel.remove_link(gone);  // departure: exactly update_link(id, 0)
+      kernel.update_link(gone, units::Probability(0.0));  // departure
       q[gone] = 0.0;
     } else {
-      std::vector<std::pair<LinkId, units::Probability>> updates;
       for (int k = 0; k < 3; ++k) {
         const auto id = static_cast<LinkId>(rng.uniform_index(n));
         const double v = q[id] > 0.5 ? 0.0 : 1.0;  // schedule flip
         q[id] = v;
-        // Later entries for the same id win, matching sequential replay.
-        updates.emplace_back(id, units::Probability(v));
+        kernel.update_link(id, units::Probability(v));
       }
-      kernel.update_links(updates);
     }
-    SuccessProbabilityKernel fresh(net, beta);
-    fresh.set_probabilities(units::probabilities(q));
-    for (LinkId i = 0; i < n; ++i) {
-      EXPECT_EQ(kernel.success_probabilities()[i],
-                fresh.success_probabilities()[i])
-          << "round " << round << " link " << i;
-    }
-    EXPECT_EQ(kernel.expected_successes(), fresh.expected_successes());
+    (nonzero_count(q) > 32 ? saw_dense : saw_sparse) = true;
+    expect_matches_fresh(kernel, net, beta, q, round);
   }
+  EXPECT_TRUE(saw_sparse);
+  EXPECT_TRUE(saw_dense);
 }
 
-TEST(SuccessBatchLifecycle, ResetDropsStateAndAllowsReseeding) {
-  auto net = paper_network(8, 46);
-  const units::Threshold beta(2.5);
-  SuccessProbabilityKernel kernel(net, beta);
-  kernel.set_probabilities(units::probabilities(random_profile(8, 3)));
-  ASSERT_TRUE(kernel.has_state());
-
-  kernel.reset();
-  EXPECT_FALSE(kernel.has_state());
-  EXPECT_THROW(kernel.success_probabilities(), raysched::error);
-  EXPECT_THROW(kernel.update_link(0, units::Probability(0.5)),
-               raysched::error);
-  EXPECT_THROW(kernel.remove_link(0), raysched::error);
-
-  // Re-seeding after reset is bit-identical to a virgin kernel.
-  const auto q2 = units::probabilities(random_profile(8, 4));
-  kernel.set_probabilities(q2);
-  SuccessProbabilityKernel fresh(net, beta);
-  fresh.set_probabilities(q2);
-  for (LinkId i = 0; i < 8; ++i) {
-    EXPECT_EQ(kernel.success_probabilities()[i],
-              fresh.success_probabilities()[i]);
-  }
-}
-
-TEST(SuccessBatchLifecycle, BatchedUpdateEdgeCases) {
-  auto net = hand_matrix_network();
-  SuccessProbabilityKernel kernel(net, units::Threshold(1.0));
-  EXPECT_THROW(kernel.update_links({{0, units::Probability(0.5)}}),
-               raysched::error);  // before set_probabilities
-  kernel.set_probabilities(units::probabilities({0.5, 0.5, 0.5}));
-  kernel.update_links({});  // empty batch is a no-op, not an error
-  EXPECT_THROW(kernel.update_links({{7, units::Probability(0.5)}}),
-               raysched::error);  // id out of range
-
+TEST(SuccessBatchLifecycle, SingleLinkNetworkUpdatesMatchFromScratch) {
   // Single-link network: the forest has one leaf and no interior rows.
   model::Network tiny(1, std::vector<double>{4.0}, units::Power(0.1));
   SuccessProbabilityKernel one(tiny, units::Threshold(1.0));
   one.set_probabilities(units::probabilities({0.25}));
-  one.update_links({{0, units::Probability(0.75)}});
+  one.update_link(0, units::Probability(0.75));
   SuccessProbabilityKernel fresh(tiny, units::Threshold(1.0));
   fresh.set_probabilities(units::probabilities({0.75}));
   EXPECT_EQ(one.success_probabilities()[0],
             fresh.success_probabilities()[0]);
-  one.remove_link(0);
+  one.update_link(0, units::Probability(0.0));  // departure
   EXPECT_EQ(one.success_probabilities()[0], 0.0);
 }
 

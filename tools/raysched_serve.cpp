@@ -13,6 +13,7 @@
 //   5  conservation violated: an unexplained drop (a bug, never expected)
 //   1  configuration or runtime error
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -41,8 +42,7 @@ int run_serve(int argc, char** argv) {
   flags.add_int("recompute-latency", 2, "nominal recompute service slots");
   flags.add_int("recompute-deadline", 6, "slots before a recompute times out");
   flags.add_int("threads", 1, "schedule-agent pool threads (1 = inline)");
-  flags.add_string("policy", "max-weight",
-                   "max-weight|max-weight-incremental|ahm");
+  flags.add_string("policy", "max-weight", "max-weight|ahm");
   flags.add_int("overload-enter", 4096, "backlog entering Overloaded");
   flags.add_int("overload-exit", 1024, "backlog leaving Overloaded");
   flags.add_string("faults", "", "fault script, e.g. '120:delay:10,900:crash'");
@@ -52,14 +52,23 @@ int run_serve(int argc, char** argv) {
   flags.add_bool("restore", false, "restore from --snapshot before running");
   flags.add_string("digest-out", "", "write per-slot digest CSV here");
   flags.add_bool("quiet", false, "suppress the per-transition log");
-  flags.parse(argc - 1, argv + 1);
+  flags.parse(argc, argv);
   if (flags.help_requested()) {
     std::cout << flags.usage("raysched_serve");
     return 0;
   }
 
+  // Every integer flag is a seed, count or slot span cast to unsigned:
+  // reject negatives instead of letting the cast wrap them (--links=-5
+  // would otherwise ask for 2^64 - 5 links).
+  const auto unsigned_flag = [&flags](const std::string& name) {
+    const long long value = flags.get_int(name);
+    require(value >= 0, "--" + name + " must be non-negative");
+    return static_cast<std::uint64_t>(value);
+  };
+
   serve::ServeConfig config;
-  config.master_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  config.master_seed = unsigned_flag("seed");
   config.beta = units::Threshold(flags.get_double("beta"));
   config.propagation =
       serve::propagation_from_string(flags.get_string("propagation"));
@@ -69,33 +78,26 @@ int run_serve(int argc, char** argv) {
   config.traffic.batch_prob =
       units::Probability(flags.get_double("batch-prob"));
   config.traffic.tail_alpha = flags.get_double("tail-alpha");
-  config.queue_cap = static_cast<std::uint64_t>(flags.get_int("queue-cap"));
+  config.queue_cap = unsigned_flag("queue-cap");
   config.churn_leave = units::Probability(flags.get_double("churn-leave"));
   config.churn_join = units::Probability(flags.get_double("churn-join"));
-  config.recompute_period =
-      static_cast<std::uint64_t>(flags.get_int("recompute-period"));
-  config.recompute_latency =
-      static_cast<std::uint64_t>(flags.get_int("recompute-latency"));
-  config.recompute_deadline =
-      static_cast<std::uint64_t>(flags.get_int("recompute-deadline"));
-  config.agent_threads = static_cast<std::size_t>(flags.get_int("threads"));
+  config.recompute_period = unsigned_flag("recompute-period");
+  config.recompute_latency = unsigned_flag("recompute-latency");
+  config.recompute_deadline = unsigned_flag("recompute-deadline");
+  config.agent_threads = unsigned_flag("threads");
   config.policy = serve::policy_kind_from_string(flags.get_string("policy"));
-  config.health.overload_enter_backlog =
-      static_cast<std::uint64_t>(flags.get_int("overload-enter"));
-  config.health.overload_exit_backlog =
-      static_cast<std::uint64_t>(flags.get_int("overload-exit"));
-  config.faults = serve::FaultScript::parse(
-      flags.get_string("faults"),
-      static_cast<std::uint64_t>(flags.get_int("fault-period")));
+  config.health.overload_enter_backlog = unsigned_flag("overload-enter");
+  config.health.overload_exit_backlog = unsigned_flag("overload-exit");
+  config.faults = serve::FaultScript::parse(flags.get_string("faults"),
+                                            unsigned_flag("fault-period"));
   config.snapshot_path = flags.get_string("snapshot");
-  config.snapshot_period =
-      static_cast<std::uint64_t>(flags.get_int("snapshot-period"));
+  config.snapshot_period = unsigned_flag("snapshot-period");
 
   // The instance is a pure function of the master seed, so a restored run
   // rebuilds the identical network before loading its state.
   util::RngStream net_rng = util::RngStream(config.master_seed).derive(0x4E7);
   model::RandomPlaneParams params;
-  params.num_links = static_cast<std::size_t>(flags.get_int("links"));
+  params.num_links = unsigned_flag("links");
   auto links = model::random_plane_links(params, net_rng);
   model::Network net(std::move(links), model::PowerAssignment::uniform(2.0),
                      2.2, units::Power(4e-7));
@@ -109,8 +111,7 @@ int run_serve(int argc, char** argv) {
               << service.next_slot() << "\n";
   }
 
-  const serve::ServeReport report =
-      service.run(static_cast<std::uint64_t>(flags.get_int("slots")));
+  const serve::ServeReport report = service.run(unsigned_flag("slots"));
 
   if (!flags.get_string("digest-out").empty()) {
     std::ofstream out(flags.get_string("digest-out"), std::ios::trunc);
@@ -164,7 +165,9 @@ int run_serve(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run_serve(argc, argv);
-  } catch (const raysched::error& e) {
+  } catch (const std::exception& e) {
+    // raysched::error and resource failures (bad_alloc, length_error)
+    // alike exit 1 with a message, never abort.
     std::cerr << "raysched_serve: " << e.what() << "\n";
     return 1;
   }
