@@ -1,6 +1,7 @@
 // P1: performance microbenchmarks (google-benchmark) for the hot paths of
 // the library: non-fading SINR evaluation, the Theorem-1 closed form,
-// Rayleigh slot sampling, greedy capacity, and one RWM game round.
+// Rayleigh slot sampling, greedy and weighted-greedy capacity, and one RWM
+// game round.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -110,6 +111,25 @@ void BM_GreedyCapacity(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyCapacity)->Arg(25)->Arg(50)->Arg(100);
+
+// The max-weight recompute: a quarter of the links backlogged with integer
+// queue-length weights, the rest idle (weight 0).
+void BM_WeightedGreedy(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto net = make_network(n, 10);
+  util::RngStream rng(10);
+  std::vector<double> weights(n, 0.0);
+  for (double& w : weights) {
+    if (rng.bernoulli(0.25)) {
+      w = static_cast<double>(1 + rng.uniform_index(64));
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        algorithms::weighted_greedy_capacity(net, 2.5, weights));
+  }
+}
+BENCHMARK(BM_WeightedGreedy)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_PowerControlCapacity(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

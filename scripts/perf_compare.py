@@ -13,7 +13,9 @@ Counter flattening: each entry of the top-level "sizes" array becomes
 "n<n>.<policy>.<counter>" (e.g. "n256.max-weight.p99_slot_us");
 nested objects such as "rwm" become "rwm.<counter>"; top-level numeric
 fields keep their name. Only counters present in BOTH files are compared
-(CI runs reduced size sweeps, so the intersection is the contract).
+(CI runs reduced size sweeps, so the intersection is the contract), and
+every --counters pattern must match at least one of them: a pattern that
+matches nothing would otherwise pass silently and gate nothing.
 
 Direction is inferred from the counter name:
   higher-is-better:  *per_sec*, speedup_*, served
@@ -34,7 +36,8 @@ is refused unless the baseline is a *stated choice*: pass it via
 the gap".
 
 Exit codes: 0 within tolerance, 1 regression (or conservation violation),
-2 usage/format error.
+2 usage/format error (including a --counters pattern with no common
+counter).
 """
 
 import argparse
@@ -118,6 +121,13 @@ def load_counters(path):
     except (OSError, json.JSONDecodeError) as e:
         raise RuntimeError(f"{path}: {e}")
     return dict(flatten(doc))
+
+
+def unmatched_patterns(baseline, candidate, patterns):
+    """The --counters patterns that match no counter common to both files."""
+    common = set(baseline) & set(candidate)
+    return [p for p in patterns
+            if not any(fnmatch.fnmatch(key, p) for key in common)]
 
 
 def compare(baseline, candidate, tolerance, patterns):
@@ -231,6 +241,25 @@ def self_test():
         print("self-test FAILURE: allocs_per_slot must gate lower-is-better")
         return 1
     print("self-test: allocs_per_slot gates lower-is-better: behaved")
+    # A pattern naming rows only one side has (a size CI no longer runs, a
+    # deleted policy) matches no common counter and must be reported, even
+    # when a sibling pattern in the same --counters list does match.
+    serve_base = {"n64.max-weight.allocs_per_slot": 4.0,
+                  "n256.max-weight.allocs_per_slot": 4.0,
+                  "n256.old-policy.allocs_per_slot": 4.0}
+    serve_cand = {"n64.max-weight.allocs_per_slot": 4.0,
+                  "n256.max-weight.allocs_per_slot": 4.0}
+    missing = unmatched_patterns(serve_base, serve_cand,
+                                 ["*.max-weight.allocs_per_slot",
+                                  "*.old-policy.allocs_per_slot"])
+    if missing != ["*.old-policy.allocs_per_slot"]:
+        print(f"self-test FAILURE: unmatched patterns {missing}")
+        return 1
+    if unmatched_patterns(serve_base, serve_cand, ["n*.max-weight.*"]):
+        print("self-test FAILURE: a matching pattern was reported unmatched")
+        return 1
+    print("self-test: a pattern with no common counter is reported: "
+          "behaved")
     if direction("n4096.max-weight.p99_over_p50") != "down":
         print("self-test FAILURE: p99_over_p50 must gate lower-is-better")
         return 1
@@ -298,6 +327,12 @@ def main():
         return 2
 
     patterns = [p for glob in args.counters for p in glob.split(",") if p]
+    missing = unmatched_patterns(baseline, candidate, patterns)
+    if missing:
+        for pattern in missing:
+            print(f"perf_compare: --counters pattern {pattern!r} matches no "
+                  f"counter common to both files", file=sys.stderr)
+        return 2
     rows, failures = compare(baseline, candidate, args.tolerance, patterns)
     if not rows:
         print("perf_compare: no common counters to compare", file=sys.stderr)

@@ -1,10 +1,13 @@
 #include "algorithms/weighted.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 
-#include "model/affectance.hpp"
 #include "model/sinr.hpp"
+#include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/fp.hpp"
 
@@ -30,6 +33,31 @@ double total_weight(const LinkSet& set, const std::vector<double>& weights) {
   return sum;
 }
 
+/// Sort key of a non-negative double: its bit pattern, which orders like
+/// the value over [+0, +inf]. Integer compares keep the sort cheap.
+std::uint64_t order_key(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A weighted-greedy candidate: a nonzero-weight link feasible alone.
+struct Candidate {
+  LinkId id = 0;
+  std::uint64_t weight_key = 0;
+  std::uint64_t length_key = 0;  // geometric networks only
+  double budget = 0.0;   // signal / beta - noise, affectance_raw's denominator
+  double sum = 0.0;      // affectance onto the link, in selection order
+  std::size_t rank = 0;  // position in admission order
+};
+
+/// Raw affectance of sender j onto `target`, by affectance_raw's own
+/// expression, so every quotient carries the same bits.
+double affectance_onto(const Network& net, LinkId j, const Candidate& target) {
+  RAYSCHED_EXPECT(target.budget > 0.0,
+                  "weighted greedy: candidate budget must be positive");
+  const double a = net.mean_gain(j, target.id) / target.budget;
+  RAYSCHED_ENSURE(!std::isnan(a) && a >= 0.0,
+                  "affectance must be non-negative and not NaN");
+  return a;
+}
+
 }  // namespace
 
 WeightedCapacityResult weighted_greedy_capacity(
@@ -39,42 +67,97 @@ WeightedCapacityResult weighted_greedy_capacity(
   require(options.tau > 0.0 && options.tau <= 1.0,
           "weighted_greedy_capacity: tau must be in (0, 1]");
   validate_weights(net, weights);
+  const double tau = options.tau;
+  const bool geometric = net.has_geometry();
 
-  std::vector<LinkId> order(net.size());
-  std::iota(order.begin(), order.end(), LinkId{0});
-  std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
-    if (weights[a] != weights[b]) return weights[a] > weights[b];
-    if (net.has_geometry()) {
-      return net.link(a).length() < net.link(b).length();
-    }
-    return a < b;
-  });
+  // Zero-weight links are never admitted, so only the nonzero-weight links
+  // are collected, in id order, each length computed once.
+  std::size_t nonzero = 0;
+  for (double w : weights) nonzero += util::fp::exact_zero(w) ? 0 : 1;
+  std::vector<Candidate> cand;
+  cand.reserve(nonzero);
+  for (LinkId i = 0; i < net.size(); ++i) {
+    if (util::fp::exact_zero(weights[i])) continue;
+    // Infeasible even alone: affectance_raw would be +inf onto it.
+    if (net.signal(i) / beta <= net.noise()) continue;
+    Candidate c;
+    c.id = i;
+    c.weight_key = order_key(weights[i]);
+    c.length_key = geometric ? order_key(net.link(i).length()) : 0;
+    c.budget = net.signal(i) / beta - net.noise();
+    cand.push_back(c);
+  }
+  const std::size_t m = cand.size();
+
+  // Admission order: decreasing weight, then increasing length (geometric
+  // networks only), then increasing id. The id tie-break makes the order
+  // total, so an unstable sort gives exactly the stable order of id order.
+  // One index buffer: [0, m) is the admission order, [m, 2m) the sweep
+  // list of candidates still to be examined, in id order.
+  std::vector<std::size_t> index(2 * m);
+  const auto order = index.begin();
+  const auto live = index.begin() + static_cast<std::ptrdiff_t>(m);
+  std::iota(order, live, std::size_t{0});
+  std::iota(live, index.end(), std::size_t{0});
+  std::sort(order, live,
+            [&cand](std::size_t x, std::size_t y) {
+              const Candidate& a = cand[x];
+              const Candidate& b = cand[y];
+              if (a.weight_key != b.weight_key) {
+                return a.weight_key > b.weight_key;
+              }
+              if (a.length_key != b.length_key) {
+                return a.length_key < b.length_key;
+              }
+              return a.id < b.id;
+            });
+  for (std::size_t r = 0; r < m; ++r) cand[order[r]].rank = r;
 
   WeightedCapacityResult result;
   result.algorithm = "weighted-greedy";
-  std::vector<double> in(net.size(), 0.0);
-  for (LinkId i : order) {
-    if (util::fp::exact_zero(weights[i])) continue;  // worthless links
-    if (net.signal(i) / beta <= net.noise()) continue;
-    double on_i = 0.0;
+  // Holds candidate indices, most loaded first, until the end; then ids.
+  LinkSet& selected = result.selected;
+  selected.reserve(m);
+  std::size_t live_count = m;
+  for (std::size_t r = 0; r < m; ++r) {
+    const LinkId i = cand[order[r]].id;
+    // On-check: the running sum is the affectance onto i from every
+    // accepted link. Its terms are >= 0, so it exceeds tau iff a prefix does.
+    if (cand[order[r]].sum > tau) continue;
+    // In-check: would i push an accepted link over its budget?
     bool ok = true;
-    for (LinkId j : result.selected) {
-      on_i += model::affectance_raw(net, j, i, units::Threshold(beta));
-      if (on_i > options.tau ||
-          in[j] + model::affectance_raw(net, i, j, units::Threshold(beta)) > options.tau) {
+    for (std::size_t k : selected) {
+      if (cand[k].sum + affectance_onto(net, i, cand[k]) > tau) {
         ok = false;
         break;
       }
     }
     if (!ok) continue;
-    for (LinkId j : result.selected) {
-      in[j] += model::affectance_raw(net, i, j, units::Threshold(beta));
+    for (std::size_t k : selected) {
+      cand[k].sum += affectance_onto(net, i, cand[k]);
     }
-    in[i] = on_i;
-    result.selected.push_back(i);
+    // Fold row i into every candidate still to be examined, in id order so
+    // the row is read front to back. The sweep list drops examined links
+    // and links over tau: those are rejected whatever they gain later.
+    std::size_t kept = 0;
+    for (std::size_t t = 0; t < live_count; ++t) {
+      Candidate& c = cand[live[t]];
+      if (c.rank <= r) continue;
+      c.sum += affectance_onto(net, i, c);
+      if (c.sum <= tau) live[kept++] = live[t];
+    }
+    live_count = kept;
+    selected.push_back(order[r]);
+    // Check the most loaded accepted links first: they are the likeliest
+    // to be pushed over budget, and the check's outcome is order-free.
+    std::sort(selected.begin(), selected.end(),
+              [&cand](std::size_t x, std::size_t y) {
+                return cand[x].sum > cand[y].sum;
+              });
   }
-  std::sort(result.selected.begin(), result.selected.end());
-  result.value = total_weight(result.selected, weights);
+  for (LinkId& k : selected) k = cand[k].id;
+  std::sort(selected.begin(), selected.end());
+  result.value = total_weight(selected, weights);
   return result;
 }
 

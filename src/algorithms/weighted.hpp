@@ -22,9 +22,12 @@ struct WeightedCapacityResult {
   std::string algorithm;
 };
 
-/// Weight-aware greedy: candidates ordered by decreasing weight (ties by
-/// increasing length), admitted under the same uncapped-affectance budget as
-/// greedy_capacity, so the output is SINR-feasible at beta.
+/// Weight-aware greedy: the candidates are the nonzero-weight links, ordered
+/// by decreasing weight (ties by increasing length on geometric networks, by
+/// id on matrix networks) and admitted under the same uncapped-affectance
+/// budget as greedy_capacity, so the output is SINR-feasible at beta.
+/// Running affectance sums make the cost O(m log m + |S|·m) for m
+/// candidates, with no O(n²) precompute.
 [[nodiscard]] WeightedCapacityResult weighted_greedy_capacity(
     const model::Network& net, double beta, const std::vector<double>& weights,
     const GreedyOptions& options = {});

@@ -77,8 +77,11 @@ std::uint64_t Service::total_backlog() const {
 }
 
 bool Service::conservation_holds() const {
-  return arrivals_total_ ==
-         served_total_ + total_backlog() + drops_.total();
+  return conservation_holds(total_backlog());
+}
+
+bool Service::conservation_holds(std::uint64_t backlog) const {
+  return arrivals_total_ == served_total_ + backlog + drops_.total();
 }
 
 void Service::bump_backoff(std::uint64_t slot) {
@@ -444,9 +447,11 @@ ServeReport Service::run(std::uint64_t slots) {
     manage_recompute(slot);
     const std::uint64_t served = serve_slot(slot);
 
+    // One from-scratch backlog pass per slot feeds both the health monitor
+    // and the conservation check; run() exit recounts independently.
     const std::uint64_t backlog = total_backlog();
     monitor_.end_slot(slot, backlog, schedule_stale_);
-    if (!conservation_holds()) conservation_violated_ = true;
+    if (!conservation_holds(backlog)) conservation_violated_ = true;
 
     SlotDigest digest;
     digest.slot = slot;

@@ -202,6 +202,8 @@ class Service {
   void submit_recompute(std::uint64_t slot);
   std::uint64_t serve_slot(std::uint64_t slot);
   [[nodiscard]] std::uint64_t total_backlog() const;
+  /// conservation_holds() against an already computed total backlog.
+  [[nodiscard]] bool conservation_holds(std::uint64_t backlog) const;
   void bump_backoff(std::uint64_t slot);
   void digest_slot(const SlotDigest& digest);
 

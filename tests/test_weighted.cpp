@@ -1,13 +1,19 @@
 // Tests for link-weighted capacity maximization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+
 #include "test_helpers.hpp"
+#include "util/fp.hpp"
 
 namespace raysched::algorithms {
 namespace {
 
 using model::LinkId;
 using model::LinkSet;
+using model::Network;
 using raysched::testing::paper_network;
 using raysched::testing::two_close_links;
 
@@ -63,6 +69,205 @@ TEST(WeightedGreedy, ValidatesWeights) {
   EXPECT_THROW(
       weighted_greedy_capacity(net, 2.5, {1.0, 1.0, 1.0, 1.0, -1.0}),
       raysched::error);
+}
+
+// The original weighted greedy, kept verbatim as the bitwise reference for
+// the candidate-only admission loop: a stable sort of all n links and a
+// checked affectance_raw call per (candidate, selected) pair.
+WeightedCapacityResult reference_weighted_greedy(
+    const Network& net, double beta, const std::vector<double>& weights,
+    const GreedyOptions& options = {}) {
+  std::vector<LinkId> order(net.size());
+  std::iota(order.begin(), order.end(), LinkId{0});
+  std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
+    if (weights[a] != weights[b]) return weights[a] > weights[b];
+    if (net.has_geometry()) {
+      return net.link(a).length() < net.link(b).length();
+    }
+    return a < b;
+  });
+
+  WeightedCapacityResult result;
+  result.algorithm = "weighted-greedy";
+  std::vector<double> in(net.size(), 0.0);
+  for (LinkId i : order) {
+    if (util::fp::exact_zero(weights[i])) continue;  // worthless links
+    if (net.signal(i) / beta <= net.noise()) continue;
+    double on_i = 0.0;
+    bool ok = true;
+    for (LinkId j : result.selected) {
+      on_i += model::affectance_raw(net, j, i, units::Threshold(beta));
+      if (on_i > options.tau ||
+          in[j] + model::affectance_raw(net, i, j, units::Threshold(beta)) > options.tau) {
+        ok = false;
+        break;
+      }
+    }
+    if (!ok) continue;
+    for (LinkId j : result.selected) {
+      in[j] += model::affectance_raw(net, i, j, units::Threshold(beta));
+    }
+    in[i] = on_i;
+    result.selected.push_back(i);
+  }
+  std::sort(result.selected.begin(), result.selected.end());
+  double value = 0.0;
+  for (LinkId i : result.selected) value += weights[i];
+  result.value = value;
+  return result;
+}
+
+// Same set, and the same value down to the last bit.
+::testing::AssertionResult bitwise_equal(const WeightedCapacityResult& got,
+                                         const WeightedCapacityResult& want) {
+  if (got.selected != want.selected) {
+    return ::testing::AssertionFailure()
+           << "selected " << ::testing::PrintToString(got.selected)
+           << " != reference " << ::testing::PrintToString(want.selected);
+  }
+  if (std::memcmp(&got.value, &want.value, sizeof(double)) != 0) {
+    return ::testing::AssertionFailure()
+           << "value " << got.value << " != reference " << want.value;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Geometric network with optional exact duplicates (equal lengths, so the
+// sort falls through to ids) and noise near the median link's budget, so
+// some links are infeasible even alone.
+Network random_geometric(util::RngStream& rng, std::size_t n, double beta) {
+  model::RandomPlaneParams params;
+  params.num_links = n;
+  params.plane_size = rng.uniform(50.0, 1000.0);
+  params.min_length = rng.uniform(1.0, 20.0);
+  params.max_length = params.min_length * rng.uniform(1.0, 3.0);
+  auto links = model::random_plane_links(params, rng);
+  if (n > 1 && rng.bernoulli(0.4)) {
+    const std::size_t dups = 1 + rng.uniform_index(n / 2 + 1);
+    for (std::size_t d = 0; d < dups; ++d) {
+      links[rng.uniform_index(n)] = links[rng.uniform_index(n)];
+    }
+  }
+  const double alpha = rng.uniform(2.0, 4.0);
+  const double mid = 0.5 * (params.min_length + params.max_length);
+  const double noise = rng.bernoulli(0.5)
+                           ? rng.uniform(0.3, 1.2) / std::pow(mid, alpha) / beta
+                           : 0.0;
+  const auto powers = rng.bernoulli(0.5) ? model::PowerAssignment::uniform(1.0)
+                                         : model::PowerAssignment::square_root(1.0);
+  return Network(std::move(links), powers, alpha, units::Power(noise));
+}
+
+// Geometry-free network: ties on weight break by id. Sparse cross gains
+// with exact zeros, and noise that puts some links over budget alone.
+Network random_matrix(util::RngStream& rng, std::size_t n, double beta) {
+  std::vector<double> gains(n * n, 0.0);
+  const double density = rng.uniform(0.1, 1.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == j) {
+        gains[j * n + i] = rng.uniform(0.5, 2.0);
+      } else if (rng.bernoulli(density)) {
+        gains[j * n + i] = rng.uniform(0.0, 0.3);
+      }
+    }
+  }
+  const double noise = rng.bernoulli(0.5) ? rng.uniform(0.0, 1.5) / beta : 0.0;
+  return Network(n, std::move(gains), units::Power(noise));
+}
+
+// ~40% zeros; the rest mostly small integers (many ties), sometimes reals.
+std::vector<double> tied_weights(util::RngStream& rng, std::size_t n) {
+  const auto levels = static_cast<std::uint64_t>(
+      rng.bernoulli(0.5) ? 1 + rng.uniform_index(4) : 1 + rng.uniform_index(1000));
+  const bool real = rng.bernoulli(0.15);
+  std::vector<double> w(n, 0.0);
+  for (double& x : w) {
+    if (rng.bernoulli(0.4)) continue;
+    x = real ? rng.uniform(0.01, 10.0)
+             : static_cast<double>(1 + rng.uniform_index(levels));
+  }
+  return w;
+}
+
+TEST(WeightedGreedy, MatchesReferenceBitwiseOnRandomInstances) {
+  util::RngStream rng(0x5EEDu);
+  int mismatches = 0;
+  int infeasible_alone = 0;  // nonzero-weight links skipped by the budget test
+  int large_sets = 0;        // instances admitting at least five links
+  int duplicated = 0;
+  constexpr int kInstances = 2400;
+  for (int trial = 0; trial < kInstances; ++trial) {
+    const std::size_t n =
+        1 + rng.uniform_index(trial % 10 == 0 ? 300 : 120);
+    const double beta = rng.uniform(0.5, 4.0);
+    const Network net = trial % 3 == 2 ? random_matrix(rng, n, beta)
+                                       : random_geometric(rng, n, beta);
+    const auto w = tied_weights(rng, n);
+    GreedyOptions options;
+    options.tau = rng.bernoulli(0.3) ? 1.0 : rng.uniform(0.05, 1.0);
+
+    const auto got = weighted_greedy_capacity(net, beta, w, options);
+    const auto want = reference_weighted_greedy(net, beta, w, options);
+    const auto same = bitwise_equal(got, want);
+    if (!same) {
+      ++mismatches;
+      ADD_FAILURE() << "trial " << trial << " n " << n << ": " << same.message();
+    }
+    if (want.selected.size() >= 5) ++large_sets;
+    for (LinkId i = 0; i < n; ++i) {
+      if (w[i] > 0.0 && net.signal(i) / beta <= net.noise()) {
+        ++infeasible_alone;
+        break;
+      }
+    }
+    if (net.has_geometry()) {
+      std::vector<double> lengths;
+      for (const model::Link& link : net.links()) {
+        lengths.push_back(link.length());
+      }
+      std::sort(lengths.begin(), lengths.end());
+      if (std::adjacent_find(lengths.begin(), lengths.end()) != lengths.end()) {
+        ++duplicated;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // The generator must actually reach the cases the port could get wrong.
+  EXPECT_GT(infeasible_alone, kInstances / 20);
+  EXPECT_GT(large_sets, kInstances / 10);
+  EXPECT_GT(duplicated, kInstances / 10);
+}
+
+TEST(WeightedGreedy, MatchesReferenceOnOverloadedServiceWeights) {
+  // Weights exactly as a saturated serving loop submits them: integer queue
+  // lengths, cut to the heaviest quarter while the service is Overloaded.
+  serve::ServeConfig config;
+  config.master_seed = 77;
+  config.traffic.mean_rate = 0.5;
+  config.health.overload_enter_backlog = 2048;
+  config.health.overload_exit_backlog = 512;
+  serve::Service service(paper_network(256, 91), config);
+  int captured = 0;
+  for (int slot = 0; slot < 400 && captured < 12; ++slot) {
+    (void)service.run(1);
+    if (service.health().state() != serve::HealthState::Overloaded) continue;
+    const serve::ServeSnapshot snap = service.snapshot();
+    if (!snap.recompute.in_flight ||
+        snap.recompute.submit_slot + 1 != snap.next_slot) {
+      continue;
+    }
+    const auto& w = snap.recompute.weights;
+    const auto nonzero = std::count_if(w.begin(), w.end(),
+                                       [](double x) { return x > 0.0; });
+    ASSERT_LE(nonzero, 64) << "overload cut must leave a quarter of 256";
+    const double beta = service.config().beta.value();
+    EXPECT_TRUE(bitwise_equal(weighted_greedy_capacity(service.network(), beta, w),
+                              reference_weighted_greedy(service.network(), beta, w)))
+        << "slot " << slot;
+    ++captured;
+  }
+  EXPECT_GE(captured, 5);
 }
 
 TEST(WeightedBnB, MatchesExhaustiveOnTinyInstances) {
