@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
       f_acc.add(F);
       regret_acc.add(eps);
       // Lemma 5 with reward-scale eps = 2 * loss-scale eps.
-      if (F > 2.0 * X + 2.0 * std::max(eps, 0.0) * net.size() + 0.5) {
+      const auto link_count = static_cast<double>(net.size());
+      if (F > 2.0 * X + 2.0 * std::max(eps, 0.0) * link_count + 0.5) {
         lemma5_ok = false;
       }
     }

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                                                 units::Threshold(beta), trials,
                                                 mc)
             .value();
-    const bool ok = sim_prob + 2.5 * std::sqrt(0.25 / trials) >= rayleigh;
+    const bool ok = sim_prob + 2.5 * std::sqrt(0.25 / static_cast<double>(trials)) >= rayleigh;
     dominated += ok ? 1 : 0;
     lemma3.add_row({static_cast<long long>(i), rayleigh, sim_prob,
                     std::string(ok ? "yes" : "NO")});

@@ -126,8 +126,9 @@ int main(int argc, char** argv) {
     late_nf += nonfading_series.at(t).mean();
     late_rl += rayleigh_series.at(t).mean();
   }
-  std::cout << "\nlate-run mean successes: non-fading=" << late_nf / tail
-            << " rayleigh=" << late_rl / tail
+  const auto tail_rounds = static_cast<double>(tail);
+  std::cout << "\nlate-run mean successes: non-fading="
+            << late_nf / tail_rounds << " rayleigh=" << late_rl / tail_rounds
             << " (paper: Rayleigh slightly below non-fading, both near OPT)\n";
   return 0;
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/success_probability.hpp"
-#include "core/success_probability_batch.hpp"
 #include "model/network.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -155,13 +154,6 @@ ProbabilityOptResult maximize_capacity_coordinate_ascent(
   const std::size_t n = net.size();
   util::RngStream rng(options.seed);
 
-  // Incremental Theorem-1 kernel: trying a single-bit flip is an O(n log n)
-  // update_link + O(n) sum instead of a from-scratch O(n^2) evaluation, so a
-  // full sweep drops from O(n^3) to O(n^2 log n). The kernel's values drift
-  // from the scalar form only by ulps; the returned optimum is re-evaluated
-  // through the scalar reference path below.
-  core::SuccessProbabilityKernel kernel(net, units::Threshold(beta));
-
   ProbabilityOptResult best;
   best.value = -1.0;
 
@@ -170,22 +162,18 @@ ProbabilityOptResult maximize_capacity_coordinate_ascent(
     if (restart > 0) {
       for (auto& v : q) v = rng.bernoulli(0.5) ? 1.0 : 0.0;
     }
-    kernel.set_probabilities(units::probabilities(q));
-    double value = kernel.expected_successes();
     std::size_t sweeps = 0;
     bool converged = false;
     while (sweeps < options.max_sweeps) {
-      // Best single bit flip. Because E is affine in each coordinate, the
-      // flip gain is exact and flipping the argmax is a steepest 1-opt move.
+      // Best single bit flip. E is affine in each coordinate, so at a 0/1
+      // profile the exact gain of flipping k is +dE/dq_k when q_k = 0 and
+      // -dE/dq_k when q_k = 1: one O(n^2) gradient prices every flip, and
+      // flipping the argmax is a steepest 1-opt move.
+      const std::vector<double> grad = expected_capacity_gradient(net, q, beta);
       double best_gain = 0.0;
       std::size_t best_idx = n;
       for (std::size_t k = 0; k < n; ++k) {
-        const double old = q[k];
-        kernel.update_link(
-            k, units::Probability(util::fp::exact_zero(old) ? 1.0 : 0.0));
-        const double flipped = kernel.expected_successes();
-        kernel.update_link(k, units::Probability(old));
-        const double gain = flipped - value;
+        const double gain = util::fp::exact_zero(q[k]) ? grad[k] : -grad[k];
         if (gain > best_gain + 1e-12) {
           best_gain = gain;
           best_idx = k;
@@ -197,18 +185,16 @@ ProbabilityOptResult maximize_capacity_coordinate_ascent(
         break;
       }
       q[best_idx] = util::fp::exact_zero(q[best_idx]) ? 1.0 : 0.0;
-      kernel.update_link(best_idx, units::Probability(q[best_idx]));
-      value += best_gain;
     }
+    // Restarts are compared on the exact scalar value of their profile.
+    const double value = expected_successes(net, q, beta);
     if (value > best.value) {
-      best.q = q;
+      best.q = std::move(q);
       best.value = value;
       best.iterations = sweeps;
       best.converged = converged;
     }
   }
-  // Re-evaluate exactly to avoid accumulated drift from incremental gains.
-  best.value = expected_successes(net, best.q, beta);
   return best;
 }
 

@@ -42,10 +42,13 @@ SimulationSchedule build_simulation_schedule(
     RAYSCHED_ENSURE(k == 0 ||
                         schedule.levels[k].b_k > schedule.levels[k - 1].b_k,
                     "b_k tower must be strictly increasing");
-    for (units::Probability pr : schedule.levels[k].probabilities) {
-      RAYSCHED_ENSURE(pr.value() >= 0.0 && pr.value() <= 1.0,
-                      "simulation level probabilities must lie in [0,1]");
-    }
+    RAYSCHED_ENSURE(
+        std::all_of(schedule.levels[k].probabilities.begin(),
+                    schedule.levels[k].probabilities.end(),
+                    [](units::Probability pr) {
+                      return pr.value() >= 0.0 && pr.value() <= 1.0;
+                    }),
+        "simulation level probabilities must lie in [0,1]");
   }
   return schedule;
 }

@@ -14,7 +14,6 @@
 #include "util/rng.hpp"             // splittable xoshiro256++ streams
 #include "sim/stats.hpp"           // Welford accumulators
 #include "sim/thread_pool.hpp"     // parallel_for over Monte-Carlo trials
-#include "sim/batch_executor.hpp"  // thread-pool hook for the batch kernel
 #include "sim/failure.hpp"         // CellFailure records & failure reports
 #include "sim/checkpoint.hpp"      // sweep checkpoint persistence
 #include "sim/engine.hpp"          // nested-seed Monte-Carlo experiments

@@ -1,11 +1,12 @@
 // Runtime pin for the hot-path memory discipline that tools/raysched_mem
 // checks lexically: after warm-up, the steady-state serving slot loop, the
-// kernel's incremental update_link, and the out-buffer sinr_rayleigh_all
-// perform ZERO heap allocations. The counting operator new below is
-// program-wide for this binary but purely passive (it forwards to malloc
-// and only bumps an atomic), so coexisting tests are unaffected; ctest
-// runs each test in its own process, so the counter sees only this file's
-// work during its assertions.
+// Theorem-1 kernel's out-buffer evaluators, the fused expected-successes
+// aggregates, and the out-buffer sinr_rayleigh_all perform ZERO heap
+// allocations. The counting operator new below is program-wide for this
+// binary but purely passive (it forwards to malloc and only bumps an
+// atomic), so coexisting tests are unaffected; ctest runs each test in its
+// own process, so the counter sees only this file's work during its
+// assertions.
 //
 // Measurement technique for the slot loop: Service::run(slots) has a small
 // constant per-run allocation overhead (one digests.reserve, the report
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -116,21 +118,37 @@ TEST(HotPathAllocs, SteadyStateSlotLoopRayleigh) {
   expect_zero_alloc_slots(core::Propagation::Rayleigh);
 }
 
-TEST(HotPathAllocs, KernelUpdateLinkAllocatesNothing) {
+TEST(HotPathAllocs, OneShotKernelAllocatesNothing) {
   const model::Network net = paper_network(32, 5);
-  core::SuccessProbabilityKernel kernel(net, units::Threshold(2.0));
-  kernel.set_probabilities(units::uniform_probabilities(
-      net.size(), units::Probability(0.5)));
-  kernel.update_link(3, units::Probability(0.25));  // warm every lazy path
+  const units::Threshold beta(2.0);
+  core::SuccessProbabilityKernel kernel(net, beta);
+  std::vector<double> q_raw(net.size(), 0.5);
+  q_raw[3] = 0.0;  // an exact zero exercises the skip branches
+  const units::ProbabilityVector q = units::probabilities(q_raw);
+  const model::LinkSet active = {0, 4, 9, 17, 30};
+  std::vector<double> out;
+  kernel.evaluate(q, out);  // warm-up: out reaches its final capacity
 
-  const std::uint64_t base = alloc_count();
-  for (std::size_t i = 0; i < 200; ++i) {
-    kernel.update_link(i % net.size(),
-                       units::Probability(0.25 + 0.001 * (i % 100)));
-  }
-  EXPECT_EQ(alloc_count(), base)
-      << "update_link allocated on the incremental path";
-  EXPECT_GT(kernel.expected_successes(), 0.0);
+  const auto expect_no_allocs = [](const char* what, auto&& call) {
+    const std::uint64_t base = alloc_count();
+    for (int rep = 0; rep < 100; ++rep) call();
+    EXPECT_EQ(alloc_count() - base, 0u) << what << " allocated";
+  };
+  double sink = 0.0;
+  expect_no_allocs("evaluate", [&] { kernel.evaluate(q, out); });
+  sink += out[1];
+  expect_no_allocs("evaluate_conditional",
+                   [&] { kernel.evaluate_conditional(q, out); });
+  sink += out[1];
+  expect_no_allocs("evaluate_log", [&] { kernel.evaluate_log(q, out); });
+  sink += out[1];
+  expect_no_allocs("batch_expected_rayleigh_successes", [&] {
+    sink += core::batch_expected_rayleigh_successes(net, q, beta);
+  });
+  expect_no_allocs("batch_expected_successes_active", [&] {
+    sink += core::batch_expected_successes_active(net, active, beta);
+  });
+  EXPECT_TRUE(std::isfinite(sink));
 }
 
 TEST(HotPathAllocs, SinrOutBufferReusesCapacity) {

@@ -8,18 +8,12 @@
 //  * The kernel's division-free matrix form differs from the scalar
 //    division form only in per-factor rounding — tested at ulp scale
 //    (relative 1e-12 over products of up to ~500 factors).
-//
-// The incremental path has its own bitwise pin: a chain of update_link
-// calls must reproduce a from-scratch set_probabilities exactly, because
-// the coordinate-ascent consumer relies on hill-climbing decisions not
-// drifting with the update history.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <vector>
 
-#include "sim/batch_executor.hpp"
 #include "test_helpers.hpp"
 
 namespace raysched::core {
@@ -231,254 +225,16 @@ TEST(SuccessBatch, ValidatesInput) {
       batch_rayleigh_success_probabilities(net, units::probabilities({0.5}),
                                            units::Threshold(1.0)),
       raysched::error);
+  EXPECT_THROW(
+      batch_expected_rayleigh_successes(net, units::probabilities({0.5}),
+                                        units::Threshold(1.0)),
+      raysched::error);
   EXPECT_THROW(batch_success_probabilities_active(net, {0, 9},
                                                   units::Threshold(1.0)),
                raysched::error);  // id out of range
-}
-
-// ---------------------------------------------------------------------------
-// Incremental mode: update_link must match from-scratch bit-for-bit.
-// ---------------------------------------------------------------------------
-
-TEST(SuccessBatchIncremental, UpdateLinkMatchesFromScratchBitwise) {
-  // Non-power-of-two size so the padded tree leaves are exercised.
-  const std::size_t n = 33;
-  auto net = paper_network(n, 21);
-  const units::Threshold beta(2.5);
-  std::vector<double> q = random_profile(n, 0xD1CE);
-
-  SuccessProbabilityKernel incremental(net, beta);
-  incremental.set_probabilities(units::probabilities(q));
-  EXPECT_TRUE(incremental.has_state());
-
-  util::RngStream rng(314);
-  for (int step = 0; step < 40; ++step) {
-    const auto id = static_cast<LinkId>(rng.uniform_index(n));
-    // Mix interior values with exact 0 and 1 edges.
-    const double v = step % 7 == 0 ? 0.0 : step % 5 == 0 ? 1.0 : rng.uniform();
-    q[id] = v;
-    incremental.update_link(id, units::Probability(v));
-
-    SuccessProbabilityKernel fresh(net, beta);
-    fresh.set_probabilities(units::probabilities(q));
-    for (LinkId i = 0; i < n; ++i) {
-      // Bitwise: the incremental contract is exact reproduction.
-      EXPECT_EQ(incremental.success_probabilities()[i],
-                fresh.success_probabilities()[i])
-          << "step " << step << " link " << i;
-    }
-    EXPECT_EQ(incremental.expected_successes(), fresh.expected_successes())
-        << "step " << step;
-  }
-  // The stored vector tracked every change.
-  for (LinkId i = 0; i < n; ++i) {
-    EXPECT_EQ(incremental.probabilities()[i].value(), q[i]);
-  }
-}
-
-TEST(SuccessBatchIncremental, AgreesWithOneShotAndScalar) {
-  auto net = paper_network(17, 8);
-  const units::Threshold beta(1.5);
-  const auto q = units::probabilities(random_profile(17, 99));
-  SuccessProbabilityKernel kernel(net, beta);
-  kernel.set_probabilities(q);
-  const std::vector<double> oneshot = kernel.evaluate(q);
-  for (LinkId i = 0; i < 17; ++i) {
-    // Tree association order differs from the sequential product, so this
-    // comparison is ulp-scale, not bitwise.
-    expect_ulp_close(kernel.success_probabilities()[i], oneshot[i],
-                     "incremental value", i);
-    expect_ulp_close(kernel.success_probability(i).value(),
-                     rayleigh_success_probability(net, q, i, beta).value(),
-                     "incremental vs scalar", i);
-  }
-}
-
-TEST(SuccessBatchIncremental, SetProbabilitiesIsRepeatable) {
-  auto net = paper_network(9, 13);
-  const units::Threshold beta(2.0);
-  SuccessProbabilityKernel kernel(net, beta);
-  kernel.set_probabilities(units::probabilities(random_profile(9, 1)));
-  const auto q2 = units::probabilities(random_profile(9, 2));
-  kernel.set_probabilities(q2);
-
-  SuccessProbabilityKernel fresh(net, beta);
-  fresh.set_probabilities(q2);
-  for (LinkId i = 0; i < 9; ++i) {
-    EXPECT_EQ(kernel.success_probabilities()[i],
-              fresh.success_probabilities()[i]);
-  }
-}
-
-TEST(SuccessBatchIncremental, GuardsItsPreconditions) {
-  auto net = hand_matrix_network();
-  SuccessProbabilityKernel kernel(net, units::Threshold(1.0));
-  EXPECT_FALSE(kernel.has_state());
-  EXPECT_THROW(kernel.update_link(0, units::Probability(0.5)),
-               raysched::error);  // before set_probabilities
-  EXPECT_THROW(kernel.success_probabilities(), raysched::error);
-  EXPECT_THROW(kernel.expected_successes(), raysched::error);
-  EXPECT_THROW(kernel.probabilities(), raysched::error);
-  kernel.set_probabilities(units::probabilities({0.5, 0.5, 0.5}));
-  EXPECT_THROW(kernel.update_link(9, units::Probability(0.5)),
-               raysched::error);  // id out of range
-  EXPECT_THROW(kernel.success_probability(9), raysched::error);
-}
-
-// ---------------------------------------------------------------------------
-// Lifecycle under churn: update_link sequences that move the nonzero count
-// across the kernel's sparse/dense threshold (32 nonzero links at these
-// sizes), as coordinate ascent does when it climbs from q = 0. Every step
-// is pinned bit-for-bit against a from-scratch set_probabilities.
-// ---------------------------------------------------------------------------
-
-/// Bitwise comparison of `kernel` against a fresh kernel seeded with `q`.
-void expect_matches_fresh(const SuccessProbabilityKernel& kernel,
-                          const model::Network& net, units::Threshold beta,
-                          const std::vector<double>& q, int round) {
-  SuccessProbabilityKernel fresh(net, beta);
-  fresh.set_probabilities(units::probabilities(q));
-  for (LinkId i = 0; i < q.size(); ++i) {
-    EXPECT_EQ(kernel.success_probabilities()[i],
-              fresh.success_probabilities()[i])
-        << "round " << round << " link " << i;
-  }
-  EXPECT_EQ(kernel.expected_successes(), fresh.expected_successes())
-      << "round " << round;
-}
-
-std::size_t nonzero_count(const std::vector<double>& q) {
-  std::size_t count = 0;
-  for (double v : q) count += v != 0.0 ? 1 : 0;
-  return count;
-}
-
-TEST(SuccessBatchLifecycle, ModeCrossingUpdatesMatchFromScratchBitwise) {
-  const std::size_t n = 40;  // non-power-of-two: padded leaves exercised
-  auto net = paper_network(n, 44);
-  const units::Threshold beta(2.5);
-  std::vector<double> q = random_profile(n, 0xABBA);  // 39 nonzero: dense
-
-  SuccessProbabilityKernel kernel(net, beta);
-  kernel.set_probabilities(units::probabilities(q));
-
-  util::RngStream rng(2718);
-  bool saw_sparse = false;
-  bool saw_dense = false;
-  for (int round = 0; round < 30; ++round) {
-    // Alternate five draining rounds (links drop to exact 0) with five
-    // filling rounds (exact 1 or interior values), so the nonzero count
-    // crosses the threshold in both directions. Rounds vary in size, hit
-    // adjacent leaf pairs (shared parents), and may repeat an id.
-    const bool draining = (round / 5) % 2 == 0;
-    const std::size_t batch = 1 + rng.uniform_index(8);
-    for (std::size_t k = 0; k < batch; ++k) {
-      const auto id = static_cast<LinkId>(rng.uniform_index(n));
-      const double v =
-          draining ? 0.0 : round % 4 == 0 ? 1.0 : rng.uniform();
-      q[id] = v;
-      kernel.update_link(id, units::Probability(v));
-      (nonzero_count(q) > 32 ? saw_dense : saw_sparse) = true;
-      expect_matches_fresh(kernel, net, beta, q, round);
-    }
-  }
-  EXPECT_TRUE(saw_sparse);
-  EXPECT_TRUE(saw_dense);
-}
-
-TEST(SuccessBatchLifecycle, ChurnInterleavingMatchesFromScratchBitwise) {
-  // Departures (update_link to 0), arrivals and schedule flips,
-  // interleaved around the sparse/dense threshold — always bit-for-bit
-  // equal to a fresh kernel seeded with the current profile.
-  const std::size_t n = 40;
-  auto net = paper_network(n, 45);
-  const units::Threshold beta(2.0);
-  std::vector<double> q(n, 0.0);
-  for (LinkId i = 0; i < n; ++i) q[i] = i % 10 == 0 ? 0.0 : 1.0;  // 36 on
-
-  SuccessProbabilityKernel kernel(net, beta);
-  kernel.set_probabilities(units::probabilities(q));
-
-  util::RngStream rng(555);
-  bool saw_sparse = false;
-  bool saw_dense = false;
-  for (int round = 0; round < 30; ++round) {
-    if (round % 3 == 0) {
-      const auto gone = static_cast<LinkId>(rng.uniform_index(n));
-      kernel.update_link(gone, units::Probability(0.0));  // departure
-      q[gone] = 0.0;
-    } else {
-      for (int k = 0; k < 3; ++k) {
-        const auto id = static_cast<LinkId>(rng.uniform_index(n));
-        const double v = q[id] > 0.5 ? 0.0 : 1.0;  // schedule flip
-        q[id] = v;
-        kernel.update_link(id, units::Probability(v));
-      }
-    }
-    (nonzero_count(q) > 32 ? saw_dense : saw_sparse) = true;
-    expect_matches_fresh(kernel, net, beta, q, round);
-  }
-  EXPECT_TRUE(saw_sparse);
-  EXPECT_TRUE(saw_dense);
-}
-
-TEST(SuccessBatchLifecycle, SingleLinkNetworkUpdatesMatchFromScratch) {
-  // Single-link network: the forest has one leaf and no interior rows.
-  model::Network tiny(1, std::vector<double>{4.0}, units::Power(0.1));
-  SuccessProbabilityKernel one(tiny, units::Threshold(1.0));
-  one.set_probabilities(units::probabilities({0.25}));
-  one.update_link(0, units::Probability(0.75));
-  SuccessProbabilityKernel fresh(tiny, units::Threshold(1.0));
-  fresh.set_probabilities(units::probabilities({0.75}));
-  EXPECT_EQ(one.success_probabilities()[0],
-            fresh.success_probabilities()[0]);
-  one.update_link(0, units::Probability(0.0));  // departure
-  EXPECT_EQ(one.success_probabilities()[0], 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Executor injection: parallel chunking must not change a single bit.
-// ---------------------------------------------------------------------------
-
-TEST(SuccessBatchExecutor, PoolChunkingIsBitwiseIdenticalToSerial) {
-  auto net = paper_network(41, 17);
-  const units::Threshold beta(2.5);
-  const auto q = units::probabilities(random_profile(41, 0xF00D));
-
-  SuccessProbabilityKernel serial(net, beta);
-  // min_chunk 1 forces maximal chunking so boundaries land everywhere.
-  sim::ThreadPool pool(4);
-  SuccessProbabilityKernel pooled(net, beta,
-                                  sim::pool_batch_executor(pool, 1));
-
-  const std::vector<double> a = serial.evaluate(q);
-  const std::vector<double> b = pooled.evaluate(q);
-  for (LinkId i = 0; i < 41; ++i) EXPECT_EQ(a[i], b[i]) << "link " << i;
-
-  serial.set_probabilities(q);
-  pooled.set_probabilities(q);
-  util::RngStream rng(7);
-  for (int step = 0; step < 10; ++step) {
-    const auto id = static_cast<LinkId>(rng.uniform_index(41));
-    const units::Probability v(rng.uniform());
-    serial.update_link(id, v);
-    pooled.update_link(id, v);
-  }
-  for (LinkId i = 0; i < 41; ++i) {
-    EXPECT_EQ(serial.success_probabilities()[i],
-              pooled.success_probabilities()[i])
-        << "link " << i;
-  }
-  EXPECT_EQ(serial.expected_successes(), pooled.expected_successes());
-
-  const auto exec = sim::pool_batch_executor(pool, 1);
-  const std::vector<double> plain =
-      batch_rayleigh_success_probabilities(net, q, beta);
-  const std::vector<double> fanned =
-      batch_rayleigh_success_probabilities(net, q, beta, exec);
-  for (LinkId i = 0; i < 41; ++i) EXPECT_EQ(plain[i], fanned[i]);
-  EXPECT_EQ(batch_expected_rayleigh_successes(net, q, beta),
-            batch_expected_rayleigh_successes(net, q, beta, exec));
+  EXPECT_THROW(
+      batch_expected_successes_active(net, {0, 9}, units::Threshold(1.0)),
+      raysched::error);
 }
 
 }  // namespace
