@@ -71,8 +71,9 @@ int main(int argc, char** argv) {
       }
     }
     if (coherence == 1) base = latency.mean();
-    table.add_row({static_cast<long long>(coherence), latency.mean(),
-                   latency.stddev(), latency.mean() / base});
+    table.add_row(util::make_row(static_cast<long long>(coherence),
+                                 latency.mean(), latency.stddev(),
+                                 latency.mean() / base));
   }
   table.print_text(std::cout);
   std::cout << "\nexpected: latency grows with coherence — already at "

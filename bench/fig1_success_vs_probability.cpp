@@ -137,12 +137,12 @@ int main(int argc, char** argv) {
   util::Table table({"q", "nf_uniform", "ray_uniform", "nf_sqrt", "ray_sqrt",
                      "nf_uniform_sd", "ray_uniform_sd"});
   for (std::size_t k = 0; k < q_points; ++k) {
-    table.add_row({q_values[k], curve[k].nonfading_uniform.mean(),
-                   curve[k].rayleigh_uniform.mean(),
-                   curve[k].nonfading_sqrt.mean(),
-                   curve[k].rayleigh_sqrt.mean(),
-                   curve[k].nonfading_uniform.stddev(),
-                   curve[k].rayleigh_uniform.stddev()});
+    table.add_row(util::make_row(q_values[k], curve[k].nonfading_uniform.mean(),
+                                 curve[k].rayleigh_uniform.mean(),
+                                 curve[k].nonfading_sqrt.mean(),
+                                 curve[k].rayleigh_sqrt.mean(),
+                                 curve[k].nonfading_uniform.stddev(),
+                                 curve[k].rayleigh_uniform.stddev()));
   }
   table.print_text(std::cout);
   if (!flags.get_string("csv").empty()) table.write_csv(flags.get_string("csv"));

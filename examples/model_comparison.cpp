@@ -54,10 +54,11 @@ int main(int argc, char** argv) {
   util::RngStream mc = rng.derive(1);
   for (double qq : {0.1, 0.3, 0.5, 0.7, 0.9, 1.0}) {
     std::vector<double> probs(net.size(), qq);
-    sweep.add_row({qq,
-                   core::expected_nonfading_successes_mc(net, units::probabilities(probs), units::Threshold(beta),
-                                                         400, mc),
-                   core::expected_rayleigh_successes(net, units::probabilities(probs), units::Threshold(beta))});
+    sweep.add_row(util::make_row(
+        qq,
+        core::expected_nonfading_successes_mc(net, units::probabilities(probs), units::Threshold(beta),
+                                              400, mc),
+        core::expected_rayleigh_successes(net, units::probabilities(probs), units::Threshold(beta))));
   }
   sweep.print_text(std::cout);
 

@@ -50,7 +50,10 @@ run_preset() {
   # operator new forwards to malloc (which the sanitizers intercept), so
   # it proves the zero-alloc slot loop *and* that the counting hook
   # itself is sanitizer-clean.
-  local filter='FaultInjection|Engine|ThreadPool|Checkpoint|NetworkIo|cli_sweep|SuccessBatch|ServeSnapshot|ServeFaults|HotPathAllocs'
+  # The capacity-oracle suites run the bitwise equivalence sweeps of the
+  # unit-weight greedy and branch and bound against their old loops.
+  local oracles='^(Greedy|Exact|WeightedGreedy|WeightedBnB)\.'
+  local filter="FaultInjection|Engine|ThreadPool|Checkpoint|NetworkIo|cli_sweep|SuccessBatch|ServeSnapshot|ServeFaults|HotPathAllocs|${oracles}"
   if [ "$preset" = "thread" ]; then
     # TSan cares about the concurrent paths only; add the parallel_for and
     # stress suites (the serve agent hands results across pool threads),
@@ -59,7 +62,7 @@ run_preset() {
   elif [ "$preset" = "undefined" ]; then
     # UBSan+float mode is cheap enough to sweep the numeric core, where a
     # division by a zero gain or an overflowing dB cast would hide.
-    filter='Units|Theorem1|Lemma1|ExpectedSuccesses|NonFading|Latency|Simulation|Transfer|Nakagami|Shadowing|NetworkIo|Affectance|SuccessBatch'
+    filter="Units|Theorem1|Lemma1|ExpectedSuccesses|NonFading|Latency|Simulation|Transfer|Nakagami|Shadowing|NetworkIo|Affectance|SuccessBatch|${oracles}"
   fi
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" -R "$filter"
   echo "sanitize: ${preset}: all selected tests passed"

@@ -47,13 +47,14 @@ struct GreedyOptions {
   /// ablations). Values > 1 would break the feasibility certificate and are
   /// rejected.
   double tau = 1.0;
-  /// If true, process links in order of increasing length (the standard
-  /// shortest-first rule); if false, keep input order.
-  bool sort_by_length = true;
 };
 
 /// Affectance-bounded greedy on the network's current power assignment.
-/// Considers only links in `candidates` (all links if empty). O(n^2).
+/// Considers only links in `candidates` (all links if empty; duplicates are
+/// ignored, an id >= n throws), shortest first on geometric networks, in id
+/// order on matrix networks. It is weighted_greedy_capacity (weighted.hpp)
+/// with weight 1 on each candidate and 0 elsewhere: O(n + m log m + |S|·m)
+/// for m candidates and |S| selected links.
 [[nodiscard]] CapacityResult greedy_capacity(const model::Network& net,
                                              double beta,
                                              const model::LinkSet& candidates = {},

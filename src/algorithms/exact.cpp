@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "algorithms/weighted.hpp"
 #include "model/sinr.hpp"
 #include "util/error.hpp"
 
@@ -11,69 +12,6 @@ namespace raysched::algorithms {
 using model::LinkId;
 using model::LinkSet;
 using model::Network;
-
-namespace {
-
-/// Incremental feasibility bookkeeping for branch and bound: tracks the
-/// interference each chosen link receives and validates the SINR constraint
-/// after every tentative addition.
-class FeasibilityState {
- public:
-  explicit FeasibilityState(const Network& net, double beta)
-      : net_(net), beta_(beta), interference_(net.size(), net.noise()) {}
-
-  /// Can `i` be added while keeping every chosen link (and i) feasible?
-  [[nodiscard]] bool can_add(LinkId i) const {
-    // i's own SINR against current members.
-    if (net_.signal(i) < beta_ * (interference_[i])) return false;
-    for (LinkId j : chosen_) {
-      if (net_.signal(j) < beta_ * (interference_[j] + net_.mean_gain(i, j))) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void add(LinkId i) {
-    for (LinkId j = 0; j < net_.size(); ++j) {
-      if (j != i) interference_[j] += net_.mean_gain(i, j);
-    }
-    chosen_.push_back(i);
-  }
-
-  void remove_last() {
-    const LinkId i = chosen_.back();
-    chosen_.pop_back();
-    for (LinkId j = 0; j < net_.size(); ++j) {
-      if (j != i) interference_[j] -= net_.mean_gain(i, j);
-    }
-  }
-
-  [[nodiscard]] const LinkSet& chosen() const { return chosen_; }
-
- private:
-  const Network& net_;
-  double beta_;
-  std::vector<double> interference_;  // incoming interference + noise per link
-  LinkSet chosen_;
-};
-
-void branch(const Network& net, const std::vector<LinkId>& order,
-            std::size_t index, FeasibilityState& state, LinkSet& best) {
-  if (state.chosen().size() > best.size()) best = state.chosen();
-  if (index >= order.size()) return;
-  // Prune: even taking every remaining link cannot beat the incumbent.
-  if (state.chosen().size() + (order.size() - index) <= best.size()) return;
-  const LinkId i = order[index];
-  if (state.can_add(i)) {
-    state.add(i);
-    branch(net, order, index + 1, state, best);
-    state.remove_last();
-  }
-  branch(net, order, index + 1, state, best);
-}
-
-}  // namespace
 
 CapacityResult exact_max_feasible_set(const Network& net, double beta,
                                       std::size_t max_n) {
@@ -88,14 +26,16 @@ CapacityResult exact_max_feasible_set(const Network& net, double beta,
   std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
     return net.signal(a) > net.signal(b);
   });
-  FeasibilityState state(net, beta);
-  LinkSet best;
-  branch(net, order, 0, state, best);
-  std::sort(best.begin(), best.end());
+  // Unit weights: every weight sum is an exact small integer, so the
+  // weighted prune and incumbent test are the cardinality ones and the
+  // value is the set's size.
+  const std::vector<double> ones(net.size(), 1.0);
+  WeightedCapacityResult best =
+      detail::max_weight_branch_and_bound(net, beta, ones, order);
   CapacityResult result;
   result.algorithm = "exact-bnb";
-  result.selected = std::move(best);
-  result.value = static_cast<double>(result.selected.size());
+  result.selected = std::move(best.selected);
+  result.value = best.value;
   return result;
 }
 

@@ -16,7 +16,9 @@
 namespace raysched::algorithms {
 
 /// Exact maximum feasible set by branch and bound. Links are considered in
-/// decreasing "tolerance" order; pruning uses the remaining-count bound.
+/// decreasing signal order (most noise-tolerant first); pruning uses the
+/// remaining-count bound. Runs the weighted search of
+/// exact_max_weight_feasible_set (weighted.hpp) with unit weights.
 /// Throws raysched::error if net.size() > max_n (cost is exponential).
 [[nodiscard]] CapacityResult exact_max_feasible_set(const model::Network& net,
                                                     double beta,

@@ -163,6 +163,9 @@ WeightedCapacityResult weighted_greedy_capacity(
 
 namespace {
 
+/// Incremental feasibility bookkeeping for branch and bound: tracks the
+/// interference (plus noise) each link receives from the chosen links and
+/// validates the SINR constraint on every tentative addition.
 struct WeightedBranchState {
   const Network& net;
   double beta;
@@ -212,6 +215,7 @@ void weighted_branch(const std::vector<LinkId>& order,
     state.best_weight = state.chosen_weight;
   }
   if (index >= order.size()) return;
+  // Prune: even taking every remaining link cannot beat the incumbent.
   if (state.chosen_weight + suffix_weight[index] <= state.best_weight) return;
   const LinkId i = order[index];
   if (state.weights[i] > 0.0 && state.can_add(i)) {
@@ -223,6 +227,22 @@ void weighted_branch(const std::vector<LinkId>& order,
 }
 
 }  // namespace
+
+WeightedCapacityResult detail::max_weight_branch_and_bound(
+    const Network& net, double beta, const std::vector<double>& weights,
+    const std::vector<LinkId>& order) {
+  std::vector<double> suffix_weight(order.size() + 1, 0.0);
+  for (std::size_t k = order.size(); k > 0; --k) {
+    suffix_weight[k - 1] = suffix_weight[k] + weights[order[k - 1]];
+  }
+  WeightedBranchState state(net, beta, weights);
+  weighted_branch(order, suffix_weight, 0, state);
+  std::sort(state.best.begin(), state.best.end());
+  WeightedCapacityResult result;
+  result.selected = std::move(state.best);
+  result.value = state.best_weight;
+  return result;
+}
 
 WeightedCapacityResult exact_max_weight_feasible_set(
     const Network& net, double beta, const std::vector<double>& weights,
@@ -238,18 +258,9 @@ WeightedCapacityResult exact_max_weight_feasible_set(
   std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
     return weights[a] > weights[b];
   });
-  std::vector<double> suffix_weight(order.size() + 1, 0.0);
-  for (std::size_t k = order.size(); k > 0; --k) {
-    suffix_weight[k - 1] = suffix_weight[k] + weights[order[k - 1]];
-  }
-
-  WeightedBranchState state(net, beta, weights);
-  weighted_branch(order, suffix_weight, 0, state);
-  std::sort(state.best.begin(), state.best.end());
-  WeightedCapacityResult result;
+  WeightedCapacityResult result =
+      detail::max_weight_branch_and_bound(net, beta, weights, order);
   result.algorithm = "weighted-exact-bnb";
-  result.selected = std::move(state.best);
-  result.value = state.best_weight;
   return result;
 }
 

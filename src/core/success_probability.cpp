@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/success_probability_batch.hpp"
 #include "model/sinr.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -158,10 +157,22 @@ double interference_weight(const Network& net,
 double expected_rayleigh_successes(const Network& net,
                                    const units::ProbabilityVector& q,
                                    units::Threshold beta) {
-  // One validation sweep, then the fused per-link loop: previously this
-  // called the public per-link API, which re-ran the O(n) validation once
-  // per link, making validation alone O(n^2) per aggregate.
-  return batch_expected_rayleigh_successes(net, q, beta);
+  // One validation sweep, then rayleigh_success_probability's exact
+  // per-link expression summed in place in ascending link order; a
+  // q_i == 0 link adds an exact 0.0, a bitwise no-op on the running sum.
+  validate_probabilities(net, q);
+  require(beta.value() > 0.0,
+          "expected_rayleigh_successes: beta must be positive");
+  double total = 0.0;
+  for (LinkId i = 0; i < net.size(); ++i) {
+    total += util::fp::exact_zero(q[i].value())
+                 ? 0.0
+                 : detail::rayleigh_success_probability_unchecked(net, q, i,
+                                                                  beta);
+  }
+  RAYSCHED_ENSURE(total <= static_cast<double>(net.size()),
+                  "expected successes cannot exceed the number of links");
+  return total;
 }
 
 units::Probability nonfading_success_probability_exact(

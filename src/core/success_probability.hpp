@@ -63,9 +63,9 @@ void validate_probabilities(const model::Network& net,
 
 /// Expected number of Rayleigh-successful transmissions per slot under q
 /// (sum of Theorem-1 probabilities). Exact. An expectation over links, not a
-/// probability, so it returns double. Validates q once and evaluates through
-/// the fused batch path (core/success_probability_batch.hpp), which keeps
-/// the per-link arithmetic bit-identical to rayleigh_success_probability.
+/// probability, so it returns double. Validates q once, then sums
+/// rayleigh_success_probability's per-link values (bit-identical
+/// arithmetic) in ascending link order; allocates nothing.
 [[nodiscard]] double expected_rayleigh_successes(
     const model::Network& net, const units::ProbabilityVector& q,
     units::Threshold beta);

@@ -180,21 +180,6 @@ std::vector<double> batch_rayleigh_success_probabilities(
   return out;
 }
 
-double batch_expected_rayleigh_successes(const Network& net,
-                                         const units::ProbabilityVector& q,
-                                         units::Threshold beta) {
-  validate_rayleigh_batch(net, q, beta);
-  // Summed in place in ascending link order, matching the scalar aggregate;
-  // a q_i == 0 link adds an exact 0.0, a bitwise no-op on the running sum.
-  double total = 0.0;
-  for (LinkId i = 0; i < net.size(); ++i) {
-    total += rayleigh_value(net, q, i, beta);
-  }
-  RAYSCHED_ENSURE(total <= static_cast<double>(net.size()),
-                  "expected successes cannot exceed the number of links");
-  return total;
-}
-
 std::vector<double> batch_success_probabilities_active(
     const Network& net, const LinkSet& active, units::Threshold beta) {
   validate_active_batch(net, active, beta);
@@ -204,19 +189,6 @@ std::vector<double> batch_success_probabilities_active(
         net, active, active[a], beta);
   }
   return out;
-}
-
-double batch_expected_successes_active(const Network& net,
-                                       const LinkSet& active,
-                                       units::Threshold beta) {
-  validate_active_batch(net, active, beta);
-  // Summed in place in set order.
-  double total = 0.0;
-  for (LinkId i : active) {
-    total += model::detail::success_probability_rayleigh_unchecked(
-        net, active, i, beta);
-  }
-  return total;
 }
 
 }  // namespace raysched::core

@@ -14,11 +14,12 @@
 //    and log-space evaluation is available for large n where the plain
 //    product would underflow.
 //
-//  * The batch_* free functions are fused aggregates that keep the scalar
-//    functions' exact expression and iteration order (bit-identical results)
-//    while hoisting validation out of the per-link loop. They back the
-//    rewired expected_rayleigh_successes / transfer / learning payoffs so
-//    pinned regression values are preserved to the last bit.
+//  * The batch_* free functions return every per-link value of a scalar
+//    function at once, with its exact expression and iteration order
+//    (bit-identical results) and the validation hoisted out of the per-link
+//    loop. The aggregates are the scalar sums themselves:
+//    expected_rayleigh_successes (core/success_probability.hpp) and
+//    model::expected_successes_rayleigh.
 //
 // Layering: the kernel lives in core and must not include learning/ or sim/
 // (raysched_arch RS-A1).
@@ -99,25 +100,12 @@ class SuccessProbabilityKernel {
     const model::Network& net, const units::ProbabilityVector& q,
     units::Threshold beta);
 
-/// Fused batch form of expected_rayleigh_successes: one validation sweep,
-/// per-link values as above, summed in ascending link order. Bit-identical
-/// to the scalar aggregate (which now delegates here).
-[[nodiscard]] double batch_expected_rayleigh_successes(
-    const model::Network& net, const units::ProbabilityVector& q,
-    units::Threshold beta);
-
 /// Fused batch form of model::success_probability_rayleigh over an active
 /// set (q in {0,1}): out[a] is the success probability of active[a] against
 /// the whole set, computed with the scalar function's exact division form
 /// and iteration order (bit-identical), with the per-link id validation
 /// hoisted to one sweep over the set.
 [[nodiscard]] std::vector<double> batch_success_probabilities_active(
-    const model::Network& net, const model::LinkSet& active,
-    units::Threshold beta);
-
-/// Fused batch form of model::expected_successes_rayleigh: the values above
-/// summed in set order. Bit-identical to the scalar aggregate.
-[[nodiscard]] double batch_expected_successes_active(
     const model::Network& net, const model::LinkSet& active,
     units::Threshold beta);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/success_probability_batch.hpp"
 #include "model/rayleigh.hpp"
 #include "model/sinr.hpp"
 #include "util/error.hpp"
@@ -96,10 +95,9 @@ GameResult run_capacity_game(const Network& net, const GameOptions& options,
     result.transmitters_per_round.push_back(static_cast<double>(active.size()));
 
     // Expected successes for the realized active set (Lemma 5's X): exact
-    // closed form under Rayleigh, deterministic count under non-fading. The
-    // batched form validates the set once per round instead of once per link.
+    // closed form under Rayleigh, deterministic count under non-fading.
     if (options.model == GameModel::Rayleigh) {
-      result.average_expected_successes += core::batch_expected_successes_active(
+      result.average_expected_successes += model::expected_successes_rayleigh(
           net, active, units::Threshold(options.beta));
     } else {
       result.average_expected_successes +=

@@ -68,13 +68,6 @@ void ScheduleAgent::submit(std::uint64_t slot, ScheduleRequest request,
   });
 }
 
-void ScheduleAgent::submit(std::uint64_t slot, std::vector<double> weights,
-                           std::uint64_t latency_slots) {
-  ScheduleRequest request;
-  request.weights = std::move(weights);
-  submit(slot, std::move(request), latency_slots);
-}
-
 RecomputeOutcome ScheduleAgent::reap() {
   require(in_flight_, "ScheduleAgent::reap: no recompute in flight");
   in_flight_ = false;
@@ -101,12 +94,6 @@ const ScheduleRequest& ScheduleAgent::pending_request() const {
   require(in_flight_,
           "ScheduleAgent::pending_request: no recompute in flight");
   return request_;
-}
-
-const std::vector<double>& ScheduleAgent::pending_weights() const {
-  require(in_flight_,
-          "ScheduleAgent::pending_weights: no recompute in flight");
-  return request_.weights;
 }
 
 }  // namespace raysched::serve

@@ -94,11 +94,6 @@ class ScheduleAgent {
   void submit(std::uint64_t slot, ScheduleRequest request,
               std::uint64_t latency_slots);
 
-  /// Weights-only convenience form (tests, simple drivers): wraps the
-  /// weights in a request with no churn or feedback payload.
-  void submit(std::uint64_t slot, std::vector<double> weights,  // raysched-mem: allow(RS-M2): sink parameter, moved into the request
-              std::uint64_t latency_slots);
-
   /// Blocks until the in-flight recompute finished and returns its outcome
   /// (never throws on task failure: exceptions become structured failure
   /// outcomes). Throws raysched::error if none is in flight.
@@ -106,9 +101,6 @@ class ScheduleAgent {
 
   /// The in-flight request, for snapshotting a mid-flight service.
   [[nodiscard]] const ScheduleRequest& pending_request() const;
-  /// The in-flight request's weights (shorthand kept for callers that only
-  /// care about the weight payload).
-  [[nodiscard]] const std::vector<double>& pending_weights() const;
 
  private:
   const model::Network& net_;

@@ -10,7 +10,7 @@
 //               maximized greedily over a feasibility-certified set. Each
 //               adopted schedule is priced as its Theorem-1 expected
 //               success count (PolicyResult::expected_rate) by
-//               core::batch_expected_successes_active, O(|S|^2) per
+//               model::expected_successes_rayleigh, O(|S|^2) per
 //               recompute.
 //   ahm         The Ásgeirsson–Halldórsson–Mitra stability algorithm
 //               (algorithms/ahm.hpp): per-link adaptive transmission
@@ -39,7 +39,6 @@
 
 #include "algorithms/ahm.hpp"
 #include "algorithms/weighted.hpp"
-#include "core/success_probability_batch.hpp"
 #include "model/network.hpp"
 #include "util/units.hpp"
 

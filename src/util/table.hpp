@@ -6,6 +6,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -41,6 +42,20 @@ class Table {
   std::vector<std::string> header_;
   std::vector<std::vector<Cell>> rows_;
 };
+
+/// Builds a row by constructing each cell in place from its value. A
+/// braced `add_row({...})` instead copies every cell out of an
+/// initializer list, and on rows of numbers only GCC 12 can misreport that
+/// copy as reading an uninitialized std::string (-Wmaybe-uninitialized);
+/// use make_row where it does. Unlike a braced list, the values are
+/// evaluated in unspecified order, so pass no two that draw from one RNG.
+template <typename... Values>
+[[nodiscard]] std::vector<Cell> make_row(Values&&... values) {
+  std::vector<Cell> row;
+  row.reserve(sizeof...(Values));
+  (row.emplace_back(std::forward<Values>(values)), ...);
+  return row;
+}
 
 /// Formats a double with fixed precision, trimming to a compact width.
 [[nodiscard]] std::string format_double(double v, int precision = 4);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <sstream>
 
 #include "test_helpers.hpp"
 
@@ -10,7 +12,12 @@ namespace {
 
 using model::LinkId;
 using model::LinkSet;
+using model::Network;
+using raysched::testing::has_duplicate_link;
 using raysched::testing::paper_network;
+using raysched::testing::random_geometric_network;
+using raysched::testing::random_matrix_network;
+using raysched::testing::same_selection_bitwise;
 using raysched::testing::two_close_links;
 using raysched::testing::two_far_links;
 
@@ -93,6 +100,114 @@ TEST(Greedy, NearOptimalOnSmallInstances) {
     }
   }
   EXPECT_GE(worst_ratio, 0.5);
+}
+
+// The unweighted greedy as it stood before it became a unit-weight call of
+// weighted_greedy_capacity, kept verbatim as the bitwise reference: a
+// stable length sort of the normalised candidates and a checked
+// affectance_raw call per (candidate, selected) pair.
+CapacityResult seed_greedy_capacity(const Network& net, double beta,
+                                    const LinkSet& candidates,
+                                    const GreedyOptions& options) {
+  LinkSet order = candidates;
+  if (order.empty()) {
+    order.resize(net.size());
+    std::iota(order.begin(), order.end(), LinkId{0});
+  }
+  model::normalize_link_set(net, order);
+  if (net.has_geometry()) {
+    std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
+      return net.link(a).length() < net.link(b).length();
+    });
+  }
+
+  std::ostringstream tau;
+  tau << options.tau;
+  CapacityResult result;
+  result.algorithm = "greedy(tau=" + tau.str() + ")";
+  std::vector<double> in(net.size(), 0.0);
+  for (LinkId i : order) {
+    if (net.signal(i) / beta <= net.noise()) continue;
+    double on_i = 0.0;
+    bool ok = true;
+    for (LinkId j : result.selected) {
+      on_i += model::affectance_raw(net, j, i, units::Threshold(beta));
+      if (on_i > options.tau) {
+        ok = false;
+        break;
+      }
+      if (in[j] + model::affectance_raw(net, i, j, units::Threshold(beta)) > options.tau) {
+        ok = false;
+        break;
+      }
+    }
+    if (!ok) continue;
+    for (LinkId j : result.selected) {
+      in[j] += model::affectance_raw(net, i, j, units::Threshold(beta));
+    }
+    in[i] = on_i;
+    result.selected.push_back(i);
+  }
+  std::sort(result.selected.begin(), result.selected.end());
+  result.value = static_cast<double>(result.selected.size());
+  return result;
+}
+
+TEST(Greedy, MatchesSeedLoopBitwiseOnRandomInstances) {
+  util::RngStream rng(0x6EEDu);
+  int mismatches = 0;
+  int all_links = 0;        // empty candidate list: every link
+  int repeated_ids = 0;     // candidate lists naming a link twice
+  int duplicated = 0;       // geometric networks with an exact duplicate link
+  int infeasible_alone = 0; // some candidate skipped by the noise test
+  int large_sets = 0;       // at least five links admitted
+  constexpr int kInstances = 2000;
+  for (int trial = 0; trial < kInstances; ++trial) {
+    const std::size_t n = 2 + rng.uniform_index(200);
+    const double beta = rng.uniform(0.5, 4.0);
+    const Network net = trial % 3 == 2 ? random_matrix_network(rng, n, beta)
+                                       : random_geometric_network(rng, n, beta);
+    LinkSet candidates;
+    if (!rng.bernoulli(0.25)) {
+      // Ids drawn with replacement, in random order.
+      const std::size_t count = 1 + rng.uniform_index(2 * n);
+      for (std::size_t k = 0; k < count; ++k) {
+        candidates.push_back(static_cast<LinkId>(rng.uniform_index(n)));
+      }
+    }
+    GreedyOptions options;
+    options.tau = rng.bernoulli(0.3) ? 1.0 : rng.uniform(0.01, 1.0);
+
+    const auto got = greedy_capacity(net, beta, candidates, options);
+    const auto want = seed_greedy_capacity(net, beta, candidates, options);
+    const auto same = same_selection_bitwise(got, want);
+    if (!same) {
+      ++mismatches;
+      ADD_FAILURE() << "trial " << trial << " n " << n << ": " << same.message();
+    }
+    EXPECT_EQ(got.algorithm, want.algorithm) << "trial " << trial;
+    EXPECT_FALSE(got.powers.has_value());
+
+    if (candidates.empty()) ++all_links;
+    LinkSet unique = candidates;
+    model::normalize_link_set(net, unique);
+    if (unique.size() < candidates.size()) ++repeated_ids;
+    if (has_duplicate_link(net)) ++duplicated;
+    for (LinkId i = 0; i < n; ++i) {
+      if (net.signal(i) / beta <= net.noise()) {
+        ++infeasible_alone;
+        break;
+      }
+    }
+    if (want.selected.size() >= 5) ++large_sets;
+  }
+  EXPECT_EQ(mismatches, 0);
+  // The generator must reach every case the wrapper could get wrong.
+  EXPECT_GT(all_links, kInstances / 10);
+  EXPECT_GT(repeated_ids, kInstances / 2);
+  EXPECT_GT(duplicated, kInstances / 10);
+  EXPECT_GT(infeasible_alone, kInstances / 20);
+  EXPECT_GT(large_sets, kInstances / 10);
 }
 
 TEST(PowerControl, OutputFeasibleWithComputedPowers) {
@@ -182,6 +297,107 @@ TEST(Exact, BnBMatchesBruteForceOnTinyInstances) {
     EXPECT_EQ(exact_max_feasible_set(net, beta).selected.size(), best)
         << "seed " << seed;
   }
+}
+
+// The cardinality branch and bound as it stood before it became a
+// unit-weight call of the weighted search, kept verbatim as the bitwise
+// reference.
+class SeedFeasibilityState {
+ public:
+  explicit SeedFeasibilityState(const Network& net, double beta)
+      : net_(net), beta_(beta), interference_(net.size(), net.noise()) {}
+
+  [[nodiscard]] bool can_add(LinkId i) const {
+    if (net_.signal(i) < beta_ * (interference_[i])) return false;
+    for (LinkId j : chosen_) {
+      if (net_.signal(j) < beta_ * (interference_[j] + net_.mean_gain(i, j))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void add(LinkId i) {
+    for (LinkId j = 0; j < net_.size(); ++j) {
+      if (j != i) interference_[j] += net_.mean_gain(i, j);
+    }
+    chosen_.push_back(i);
+  }
+
+  void remove_last() {
+    const LinkId i = chosen_.back();
+    chosen_.pop_back();
+    for (LinkId j = 0; j < net_.size(); ++j) {
+      if (j != i) interference_[j] -= net_.mean_gain(i, j);
+    }
+  }
+
+  [[nodiscard]] const LinkSet& chosen() const { return chosen_; }
+
+ private:
+  const Network& net_;
+  double beta_;
+  std::vector<double> interference_;
+  LinkSet chosen_;
+};
+
+void seed_branch(const Network& net, const std::vector<LinkId>& order,
+                 std::size_t index, SeedFeasibilityState& state,
+                 LinkSet& best) {
+  if (state.chosen().size() > best.size()) best = state.chosen();
+  if (index >= order.size()) return;
+  if (state.chosen().size() + (order.size() - index) <= best.size()) return;
+  const LinkId i = order[index];
+  if (state.can_add(i)) {
+    state.add(i);
+    seed_branch(net, order, index + 1, state, best);
+    state.remove_last();
+  }
+  seed_branch(net, order, index + 1, state, best);
+}
+
+CapacityResult seed_exact_max_feasible_set(const Network& net, double beta) {
+  std::vector<LinkId> order(net.size());
+  std::iota(order.begin(), order.end(), LinkId{0});
+  std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
+    return net.signal(a) > net.signal(b);
+  });
+  SeedFeasibilityState state(net, beta);
+  LinkSet best;
+  seed_branch(net, order, 0, state, best);
+  std::sort(best.begin(), best.end());
+  CapacityResult result;
+  result.algorithm = "exact-bnb";
+  result.selected = std::move(best);
+  result.value = static_cast<double>(result.selected.size());
+  return result;
+}
+
+TEST(Exact, BnBMatchesSeedRecursionBitwise) {
+  util::RngStream rng(0xE8AC7u);
+  int mismatches = 0;
+  int duplicated = 0;  // geometric instances with an exact duplicate link
+  int multi = 0;       // optimum of at least three links
+  constexpr int kInstances = 600;
+  for (int trial = 0; trial < kInstances; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(14);
+    const double beta = rng.uniform(0.5, 4.0);
+    const Network net = trial % 3 == 2 ? random_matrix_network(rng, n, beta)
+                                       : random_geometric_network(rng, n, beta);
+    const auto got = exact_max_feasible_set(net, beta);
+    const auto want = seed_exact_max_feasible_set(net, beta);
+    const auto same = same_selection_bitwise(got, want);
+    if (!same) {
+      ++mismatches;
+      ADD_FAILURE() << "trial " << trial << " n " << n << ": " << same.message();
+    }
+    EXPECT_EQ(got.algorithm, want.algorithm);
+    if (has_duplicate_link(net)) ++duplicated;
+    if (want.selected.size() >= 3) ++multi;
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(duplicated, kInstances / 10);
+  EXPECT_GT(multi, kInstances / 4);
 }
 
 TEST(Exact, BnBRejectsHugeInstances) {

@@ -1,6 +1,10 @@
 // Shared fixtures and instance builders for the raysched test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "raysched.hpp"
@@ -54,6 +58,87 @@ inline model::Network paper_network(std::size_t n, std::uint64_t seed,
   auto links = model::random_plane_links(params, rng);
   return model::Network(std::move(links),
                         model::PowerAssignment::uniform(power), alpha, units::Power(noise));
+}
+
+/// Random geometric network for the capacity-oracle equivalence sweeps,
+/// with optional exact duplicate links (equal lengths and signals, so
+/// length and signal sorts fall through to ids, and optima tie) and noise
+/// near the median link's budget, so some links are infeasible even alone.
+inline model::Network random_geometric_network(util::RngStream& rng,
+                                               std::size_t n, double beta) {
+  model::RandomPlaneParams params;
+  params.num_links = n;
+  params.plane_size = rng.uniform(50.0, 1000.0);
+  params.min_length = rng.uniform(1.0, 20.0);
+  params.max_length = params.min_length * rng.uniform(1.0, 3.0);
+  auto links = model::random_plane_links(params, rng);
+  if (n > 1 && rng.bernoulli(0.4)) {
+    const std::size_t dups = 1 + rng.uniform_index(n / 2 + 1);
+    for (std::size_t d = 0; d < dups; ++d) {
+      links[rng.uniform_index(n)] = links[rng.uniform_index(n)];
+    }
+  }
+  const double alpha = rng.uniform(2.0, 4.0);
+  const double mid = 0.5 * (params.min_length + params.max_length);
+  const double noise = rng.bernoulli(0.5)
+                           ? rng.uniform(0.3, 1.2) / std::pow(mid, alpha) / beta
+                           : 0.0;
+  const auto powers = rng.bernoulli(0.5) ? model::PowerAssignment::uniform(1.0)
+                                         : model::PowerAssignment::square_root(1.0);
+  return model::Network(std::move(links), powers, alpha, units::Power(noise));
+}
+
+/// Geometry-free counterpart: the greedy's length tie-break falls through
+/// to ids. Sparse cross gains with exact zeros, and noise that puts some
+/// links over budget alone.
+inline model::Network random_matrix_network(util::RngStream& rng,
+                                            std::size_t n, double beta) {
+  std::vector<double> gains(n * n, 0.0);
+  const double density = rng.uniform(0.1, 1.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == j) {
+        gains[j * n + i] = rng.uniform(0.5, 2.0);
+      } else if (rng.bernoulli(density)) {
+        gains[j * n + i] = rng.uniform(0.0, 0.3);
+      }
+    }
+  }
+  const double noise = rng.bernoulli(0.5) ? rng.uniform(0.0, 1.5) / beta : 0.0;
+  return model::Network(n, std::move(gains), units::Power(noise));
+}
+
+/// True for a geometric network with two links at exactly the same sender
+/// and receiver positions.
+inline bool has_duplicate_link(const model::Network& net) {
+  if (!net.has_geometry()) return false;
+  const auto& links = net.links();
+  for (std::size_t a = 0; a < links.size(); ++a) {
+    for (std::size_t b = a + 1; b < links.size(); ++b) {
+      if (links[a].sender == links[b].sender &&
+          links[a].receiver == links[b].receiver) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Same selected set, and the same value down to the last bit, for any
+/// capacity result type with `selected` and `value`.
+template <typename Result>
+::testing::AssertionResult same_selection_bitwise(const Result& got,
+                                                  const Result& want) {
+  if (got.selected != want.selected) {
+    return ::testing::AssertionFailure()
+           << "selected " << ::testing::PrintToString(got.selected)
+           << " != reference " << ::testing::PrintToString(want.selected);
+  }
+  if (std::memcmp(&got.value, &want.value, sizeof(double)) != 0) {
+    return ::testing::AssertionFailure()
+           << "value " << got.value << " != reference " << want.value;
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace raysched::testing

@@ -1,6 +1,6 @@
 // Runtime pin for the hot-path memory discipline that tools/raysched_mem
 // checks lexically: after warm-up, the steady-state serving slot loop, the
-// Theorem-1 kernel's out-buffer evaluators, the fused expected-successes
+// Theorem-1 kernel's out-buffer evaluators, the two expected-successes
 // aggregates, and the out-buffer sinr_rayleigh_all perform ZERO heap
 // allocations. The counting operator new below is program-wide for this
 // binary but purely passive (it forwards to malloc and only bumps an
@@ -142,11 +142,11 @@ TEST(HotPathAllocs, OneShotKernelAllocatesNothing) {
   sink += out[1];
   expect_no_allocs("evaluate_log", [&] { kernel.evaluate_log(q, out); });
   sink += out[1];
-  expect_no_allocs("batch_expected_rayleigh_successes", [&] {
-    sink += core::batch_expected_rayleigh_successes(net, q, beta);
+  expect_no_allocs("expected_rayleigh_successes", [&] {
+    sink += core::expected_rayleigh_successes(net, q, beta);
   });
-  expect_no_allocs("batch_expected_successes_active", [&] {
-    sink += core::batch_expected_successes_active(net, active, beta);
+  expect_no_allocs("expected_successes_rayleigh", [&] {
+    sink += model::expected_successes_rayleigh(net, active, beta);
   });
   EXPECT_TRUE(std::isfinite(sink));
 }

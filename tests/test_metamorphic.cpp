@@ -75,13 +75,13 @@ TEST(Metamorphic, GainScaleInvarianceOfAlgorithms) {
   auto net = raysched::testing::paper_network(20, 2);
   const auto scaled = scaled_copy(net, 1e-4);
   const double beta = 2.5;
-  // The scaled copy is a matrix network with no geometry, so fix the
-  // greedy's processing order on both sides (length sorting would otherwise
+  // The scaled copy is a matrix network with no geometry, so the greedy
+  // runs it in id order; compare it with an unscaled matrix copy, which
+  // the greedy runs in the same order (length sorting would otherwise
   // differ, which is an ordering effect, not a numerical one).
-  algorithms::GreedyOptions fixed_order;
-  fixed_order.sort_by_length = false;
-  EXPECT_EQ(algorithms::greedy_capacity(net, beta, {}, fixed_order).selected,
-            algorithms::greedy_capacity(scaled, beta, {}, fixed_order).selected);
+  const auto unscaled = scaled_copy(net, 1.0);
+  EXPECT_EQ(algorithms::greedy_capacity(unscaled, beta).selected,
+            algorithms::greedy_capacity(scaled, beta).selected);
   EXPECT_EQ(algorithms::exact_max_feasible_set(net, beta, 20).selected,
             algorithms::exact_max_feasible_set(scaled, beta, 20).selected);
 }

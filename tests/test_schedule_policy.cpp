@@ -15,6 +15,7 @@
 namespace raysched::serve {
 namespace {
 
+using model::LinkId;
 using model::LinkSet;
 using raysched::testing::paper_network;
 
@@ -40,8 +41,9 @@ TEST(SchedulePolicy, KindNamesRoundTrip) {
 
 TEST(SchedulePolicy, MaxWeightPricesItsScheduleBitwise) {
   // The schedule is weighted greedy's, and expected_rate is exactly the
-  // Theorem-1 expected success count of that set — same bits as the fused
-  // batch aggregate, so the diagnostic has a single definition.
+  // Theorem-1 expected success count of that set — same bits as the
+  // per-link Rayleigh success probabilities summed in set order, so the
+  // diagnostic has a single definition.
   auto net = paper_network(20, 53);
   const units::Threshold beta(2.5);
   auto policy = make_schedule_policy(PolicyKind::MaxWeight, net, beta);
@@ -60,8 +62,12 @@ TEST(SchedulePolicy, MaxWeightPricesItsScheduleBitwise) {
                                                    request.weights)
                   .selected)
         << "slot " << slot;
-    const double direct =
-        core::batch_expected_successes_active(net, result.schedule, beta);
+    double direct = 0.0;
+    for (const LinkId i : result.schedule) {
+      direct +=
+          model::success_probability_rayleigh(net, result.schedule, i, beta)
+              .value();
+    }
     EXPECT_EQ(std::bit_cast<std::uint64_t>(result.expected_rate),
               std::bit_cast<std::uint64_t>(direct))
         << "slot " << slot;
@@ -193,7 +199,9 @@ TEST(Saturate, AgentDueSlotSaturatesInsteadOfWrapping) {
   ScheduleAgent agent(net, units::Threshold(2.5), 1);
   // A delay pile-up can push latency to the top of the range; the due slot
   // must pin at "never", not wrap into the past.
-  agent.submit(10, std::vector<double>(net.size(), 1.0),
+  ScheduleRequest request;
+  request.weights.assign(net.size(), 1.0);
+  agent.submit(10, std::move(request),
                std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(agent.due_slot(), std::numeric_limits<std::uint64_t>::max());
   (void)agent.reap();

@@ -236,12 +236,19 @@ TEST(ServeFaultScript, RejectsMalformedSpecs) {
 
 // ---- schedule agent -------------------------------------------------------
 
+// A request carrying only weights: no churn or feedback payload.
+ScheduleRequest weights_request(std::vector<double> weights) {
+  ScheduleRequest request;
+  request.weights = std::move(weights);
+  return request;
+}
+
 TEST(ServeAgent, ComputesAMaxWeightSchedule) {
   auto net = paper_network(12, 21);
   ScheduleAgent agent(net, units::Threshold(2.5), 1);
   std::vector<double> weights(net.size(), 1.0);
   weights[3] = 100.0;
-  agent.submit(0, weights, 1);
+  agent.submit(0, weights_request(weights), 1);
   RecomputeOutcome outcome = agent.reap();
   ASSERT_TRUE(outcome.ok);
   EXPECT_FALSE(outcome.schedule.empty());
@@ -256,12 +263,12 @@ TEST(ServeAgent, PoisonedWeightsBecomeStructuredFailures) {
     ScheduleAgent agent(net, units::Threshold(2.5), threads);
     std::vector<double> weights(net.size(),
                                 std::numeric_limits<double>::quiet_NaN());
-    agent.submit(0, weights, 1);
+    agent.submit(0, weights_request(weights), 1);
     RecomputeOutcome outcome = agent.reap();
     EXPECT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.code, ErrorCode::PoisonedInput);
     // The agent survives a failure: the next submit succeeds.
-    agent.submit(1, std::vector<double>(net.size(), 1.0), 1);
+    agent.submit(1, weights_request(std::vector<double>(net.size(), 1.0)), 1);
     EXPECT_TRUE(agent.reap().ok);
   }
 }
@@ -274,8 +281,8 @@ TEST(ServeAgent, InlineAndThreadedAgreeBitIdentically) {
   }
   ScheduleAgent inline_agent(net, units::Threshold(2.5), 1);
   ScheduleAgent pool_agent(net, units::Threshold(2.5), 4);
-  inline_agent.submit(0, weights, 1);
-  pool_agent.submit(0, weights, 1);
+  inline_agent.submit(0, weights_request(weights), 1);
+  pool_agent.submit(0, weights_request(weights), 1);
   EXPECT_EQ(inline_agent.reap().schedule, pool_agent.reap().schedule);
 }
 
@@ -283,9 +290,9 @@ TEST(ServeAgent, ProtocolViolationsThrow) {
   auto net = paper_network(4, 24);
   ScheduleAgent agent(net, units::Threshold(2.5), 1);
   EXPECT_THROW((void)agent.reap(), raysched::error);  // nothing in flight
-  EXPECT_THROW(agent.submit(0, std::vector<double>(2, 1.0), 1),
+  EXPECT_THROW(agent.submit(0, weights_request(std::vector<double>(2, 1.0)), 1),
                raysched::error);  // wrong size
-  EXPECT_THROW(agent.submit(0, std::vector<double>(4, 1.0), 0),
+  EXPECT_THROW(agent.submit(0, weights_request(std::vector<double>(4, 1.0)), 0),
                raysched::error);  // zero latency
 }
 

@@ -3,8 +3,9 @@
 //
 // Two tolerance tiers, matching the contracts in
 // src/core/success_probability_batch.hpp:
-//  * The fused batch_* aggregates are BIT-IDENTICAL to the scalar loops
-//    (same expression, same iteration order) — tested with EXPECT_EQ.
+//  * The fused batch_* functions and the expected-successes aggregates are
+//    BIT-IDENTICAL to the scalar loops (same expression, same iteration
+//    order) — tested with EXPECT_EQ.
 //  * The kernel's division-free matrix form differs from the scalar
 //    division form only in per-factor rounding — tested at ulp scale
 //    (relative 1e-12 over products of up to ~500 factors).
@@ -188,7 +189,6 @@ TEST(SuccessBatch, FusedBatchIsBitIdenticalToScalar) {
         << "link " << i;
     sum += batch[i];
   }
-  EXPECT_EQ(batch_expected_rayleigh_successes(net, q, beta), sum);
   EXPECT_EQ(expected_rayleigh_successes(net, q, beta), sum);
 }
 
@@ -209,7 +209,6 @@ TEST(SuccessBatch, FusedActiveBatchIsBitIdenticalToScalar) {
         << "active[" << a << "]";
     sum += batch[a];
   }
-  EXPECT_EQ(batch_expected_successes_active(net, active, beta), sum);
   EXPECT_EQ(model::expected_successes_rayleigh(net, active, beta), sum);
 }
 
@@ -226,14 +225,14 @@ TEST(SuccessBatch, ValidatesInput) {
                                            units::Threshold(1.0)),
       raysched::error);
   EXPECT_THROW(
-      batch_expected_rayleigh_successes(net, units::probabilities({0.5}),
-                                        units::Threshold(1.0)),
+      expected_rayleigh_successes(net, units::probabilities({0.5}),
+                                  units::Threshold(1.0)),
       raysched::error);
   EXPECT_THROW(batch_success_probabilities_active(net, {0, 9},
                                                   units::Threshold(1.0)),
                raysched::error);  // id out of range
   EXPECT_THROW(
-      batch_expected_successes_active(net, {0, 9}, units::Threshold(1.0)),
+      model::expected_successes_rayleigh(net, {0, 9}, units::Threshold(1.0)),
       raysched::error);
 }
 

@@ -14,7 +14,11 @@ namespace {
 using model::LinkId;
 using model::LinkSet;
 using model::Network;
+using raysched::testing::has_duplicate_link;
 using raysched::testing::paper_network;
+using raysched::testing::random_geometric_network;
+using raysched::testing::random_matrix_network;
+using raysched::testing::same_selection_bitwise;
 using raysched::testing::two_close_links;
 
 std::vector<double> random_weights(std::size_t n, std::uint64_t seed) {
@@ -57,8 +61,11 @@ TEST(WeightedGreedy, UnitWeightsBehaveLikeCardinality) {
   const auto weighted = weighted_greedy_capacity(net, 2.5, ones);
   EXPECT_DOUBLE_EQ(weighted.value,
                    static_cast<double>(weighted.selected.size()));
-  // Not necessarily the same set as greedy_capacity (different sort key),
-  // but the same feasibility guarantee.
+  // greedy_capacity is this call: the same set, the same value bits.
+  const auto cardinality = greedy_capacity(net, 2.5);
+  EXPECT_EQ(weighted.selected, cardinality.selected);
+  EXPECT_EQ(std::memcmp(&weighted.value, &cardinality.value, sizeof(double)),
+            0);
   EXPECT_TRUE(model::is_feasible(net, weighted.selected, units::Threshold(2.5)));
 }
 
@@ -117,65 +124,6 @@ WeightedCapacityResult reference_weighted_greedy(
   return result;
 }
 
-// Same set, and the same value down to the last bit.
-::testing::AssertionResult bitwise_equal(const WeightedCapacityResult& got,
-                                         const WeightedCapacityResult& want) {
-  if (got.selected != want.selected) {
-    return ::testing::AssertionFailure()
-           << "selected " << ::testing::PrintToString(got.selected)
-           << " != reference " << ::testing::PrintToString(want.selected);
-  }
-  if (std::memcmp(&got.value, &want.value, sizeof(double)) != 0) {
-    return ::testing::AssertionFailure()
-           << "value " << got.value << " != reference " << want.value;
-  }
-  return ::testing::AssertionSuccess();
-}
-
-// Geometric network with optional exact duplicates (equal lengths, so the
-// sort falls through to ids) and noise near the median link's budget, so
-// some links are infeasible even alone.
-Network random_geometric(util::RngStream& rng, std::size_t n, double beta) {
-  model::RandomPlaneParams params;
-  params.num_links = n;
-  params.plane_size = rng.uniform(50.0, 1000.0);
-  params.min_length = rng.uniform(1.0, 20.0);
-  params.max_length = params.min_length * rng.uniform(1.0, 3.0);
-  auto links = model::random_plane_links(params, rng);
-  if (n > 1 && rng.bernoulli(0.4)) {
-    const std::size_t dups = 1 + rng.uniform_index(n / 2 + 1);
-    for (std::size_t d = 0; d < dups; ++d) {
-      links[rng.uniform_index(n)] = links[rng.uniform_index(n)];
-    }
-  }
-  const double alpha = rng.uniform(2.0, 4.0);
-  const double mid = 0.5 * (params.min_length + params.max_length);
-  const double noise = rng.bernoulli(0.5)
-                           ? rng.uniform(0.3, 1.2) / std::pow(mid, alpha) / beta
-                           : 0.0;
-  const auto powers = rng.bernoulli(0.5) ? model::PowerAssignment::uniform(1.0)
-                                         : model::PowerAssignment::square_root(1.0);
-  return Network(std::move(links), powers, alpha, units::Power(noise));
-}
-
-// Geometry-free network: ties on weight break by id. Sparse cross gains
-// with exact zeros, and noise that puts some links over budget alone.
-Network random_matrix(util::RngStream& rng, std::size_t n, double beta) {
-  std::vector<double> gains(n * n, 0.0);
-  const double density = rng.uniform(0.1, 1.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == j) {
-        gains[j * n + i] = rng.uniform(0.5, 2.0);
-      } else if (rng.bernoulli(density)) {
-        gains[j * n + i] = rng.uniform(0.0, 0.3);
-      }
-    }
-  }
-  const double noise = rng.bernoulli(0.5) ? rng.uniform(0.0, 1.5) / beta : 0.0;
-  return Network(n, std::move(gains), units::Power(noise));
-}
-
 // ~40% zeros; the rest mostly small integers (many ties), sometimes reals.
 std::vector<double> tied_weights(util::RngStream& rng, std::size_t n) {
   const auto levels = static_cast<std::uint64_t>(
@@ -201,15 +149,15 @@ TEST(WeightedGreedy, MatchesReferenceBitwiseOnRandomInstances) {
     const std::size_t n =
         1 + rng.uniform_index(trial % 10 == 0 ? 300 : 120);
     const double beta = rng.uniform(0.5, 4.0);
-    const Network net = trial % 3 == 2 ? random_matrix(rng, n, beta)
-                                       : random_geometric(rng, n, beta);
+    const Network net = trial % 3 == 2 ? random_matrix_network(rng, n, beta)
+                                       : random_geometric_network(rng, n, beta);
     const auto w = tied_weights(rng, n);
     GreedyOptions options;
     options.tau = rng.bernoulli(0.3) ? 1.0 : rng.uniform(0.05, 1.0);
 
     const auto got = weighted_greedy_capacity(net, beta, w, options);
     const auto want = reference_weighted_greedy(net, beta, w, options);
-    const auto same = bitwise_equal(got, want);
+    const auto same = same_selection_bitwise(got, want);
     if (!same) {
       ++mismatches;
       ADD_FAILURE() << "trial " << trial << " n " << n << ": " << same.message();
@@ -262,7 +210,7 @@ TEST(WeightedGreedy, MatchesReferenceOnOverloadedServiceWeights) {
                                        [](double x) { return x > 0.0; });
     ASSERT_LE(nonzero, 64) << "overload cut must leave a quarter of 256";
     const double beta = service.config().beta.value();
-    EXPECT_TRUE(bitwise_equal(weighted_greedy_capacity(service.network(), beta, w),
+    EXPECT_TRUE(same_selection_bitwise(weighted_greedy_capacity(service.network(), beta, w),
                               reference_weighted_greedy(service.network(), beta, w)))
         << "slot " << slot;
     ++captured;
@@ -291,6 +239,125 @@ TEST(WeightedBnB, MatchesExhaustiveOnTinyInstances) {
     EXPECT_NEAR(bnb.value, best, 1e-9) << "seed " << seed;
     EXPECT_TRUE(model::is_feasible(net, bnb.selected, units::Threshold(beta)));
   }
+}
+
+// The weighted branch and bound as it stood before the unweighted search
+// was folded into it, kept verbatim as the bitwise reference.
+struct SeedWeightedBranchState {
+  const Network& net;
+  double beta;
+  const std::vector<double>& weights;
+  std::vector<double> interference;  // incoming interference + noise
+  LinkSet chosen;
+  double chosen_weight = 0.0;
+  LinkSet best;
+  double best_weight = 0.0;
+
+  SeedWeightedBranchState(const Network& n, double b,
+                          const std::vector<double>& w)
+      : net(n), beta(b), weights(w), interference(n.size(), n.noise()) {}
+
+  [[nodiscard]] bool can_add(LinkId i) const {
+    if (net.signal(i) < beta * interference[i]) return false;
+    for (LinkId j : chosen) {
+      if (net.signal(j) < beta * (interference[j] + net.mean_gain(i, j))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void add(LinkId i) {
+    for (LinkId j = 0; j < net.size(); ++j) {
+      if (j != i) interference[j] += net.mean_gain(i, j);
+    }
+    chosen.push_back(i);
+    chosen_weight += weights[i];
+  }
+
+  void remove_last() {
+    const LinkId i = chosen.back();
+    chosen.pop_back();
+    chosen_weight -= weights[i];
+    for (LinkId j = 0; j < net.size(); ++j) {
+      if (j != i) interference[j] -= net.mean_gain(i, j);
+    }
+  }
+};
+
+void seed_weighted_branch(const std::vector<LinkId>& order,
+                          const std::vector<double>& suffix_weight,
+                          std::size_t index, SeedWeightedBranchState& state) {
+  if (state.chosen_weight > state.best_weight) {
+    state.best = state.chosen;
+    state.best_weight = state.chosen_weight;
+  }
+  if (index >= order.size()) return;
+  if (state.chosen_weight + suffix_weight[index] <= state.best_weight) return;
+  const LinkId i = order[index];
+  if (state.weights[i] > 0.0 && state.can_add(i)) {
+    state.add(i);
+    seed_weighted_branch(order, suffix_weight, index + 1, state);
+    state.remove_last();
+  }
+  seed_weighted_branch(order, suffix_weight, index + 1, state);
+}
+
+WeightedCapacityResult seed_exact_max_weight_feasible_set(
+    const Network& net, double beta, const std::vector<double>& weights) {
+  std::vector<LinkId> order(net.size());
+  std::iota(order.begin(), order.end(), LinkId{0});
+  std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
+    return weights[a] > weights[b];
+  });
+  std::vector<double> suffix_weight(order.size() + 1, 0.0);
+  for (std::size_t k = order.size(); k > 0; --k) {
+    suffix_weight[k - 1] = suffix_weight[k] + weights[order[k - 1]];
+  }
+
+  SeedWeightedBranchState state(net, beta, weights);
+  seed_weighted_branch(order, suffix_weight, 0, state);
+  std::sort(state.best.begin(), state.best.end());
+  WeightedCapacityResult result;
+  result.algorithm = "weighted-exact-bnb";
+  result.selected = std::move(state.best);
+  result.value = state.best_weight;
+  return result;
+}
+
+TEST(WeightedBnB, MatchesSeedRecursionBitwise) {
+  util::RngStream rng(0xB4Bu);
+  int mismatches = 0;
+  int duplicated = 0;  // geometric instances with an exact duplicate link
+  int tied = 0;        // instances with two nonzero links of equal weight
+  constexpr int kInstances = 500;
+  for (int trial = 0; trial < kInstances; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(14);
+    const double beta = rng.uniform(0.5, 4.0);
+    const Network net = trial % 3 == 2 ? random_matrix_network(rng, n, beta)
+                                       : random_geometric_network(rng, n, beta);
+    const auto w = tied_weights(rng, n);
+    const auto got = exact_max_weight_feasible_set(net, beta, w);
+    const auto want = seed_exact_max_weight_feasible_set(net, beta, w);
+    const auto same = same_selection_bitwise(got, want);
+    if (!same) {
+      ++mismatches;
+      ADD_FAILURE() << "trial " << trial << " n " << n << ": " << same.message();
+    }
+    EXPECT_EQ(got.algorithm, want.algorithm);
+    std::vector<double> nonzero;
+    for (double x : w) {
+      if (x > 0.0) nonzero.push_back(x);
+    }
+    std::sort(nonzero.begin(), nonzero.end());
+    if (std::adjacent_find(nonzero.begin(), nonzero.end()) != nonzero.end()) {
+      ++tied;
+    }
+    if (has_duplicate_link(net)) ++duplicated;
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(duplicated, kInstances / 10);
+  EXPECT_GT(tied, kInstances / 4);
 }
 
 TEST(WeightedBnB, PrefersSingleHeavyOverManyLight) {
