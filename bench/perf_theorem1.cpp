@@ -1,9 +1,9 @@
-// P5: Theorem-1 hot-path performance harness. Times the scalar per-link
-// public API (which re-validates per link) and the batched kernel at a
-// sweep of network sizes, plus the end-to-end RWM learning loop that
-// consumes the batched path, and emits
-// the results as machine-readable JSON (BENCH_5.json) for the perf-smoke
-// CI gate and docs/PERFORMANCE.md.
+// P5: Theorem-1 performance harness. Times the scalar per-link public API
+// (which re-validates q for every link) against the fused batch
+// batch_rayleigh_success_probabilities (one validation sweep, then the
+// same per-link expression) at a sweep of network sizes, plus the
+// end-to-end RWM learning loop, and emits the results as machine-readable
+// JSON (BENCH_5.json) for the perf-smoke CI gate and docs/PERFORMANCE.md.
 //
 // Methodology: each timer calibrates an inner iteration count so one
 // measurement window spans at least --min-time-ms, then reports the best
@@ -101,7 +101,7 @@ std::string json_num(double v) {
 struct SizeResult {
   std::size_t n = 0;
   double scalar_ns_per_eval = 0.0;     ///< per-link public API, all n links
-  double batched_ns_per_eval = 0.0;    ///< kernel.evaluate, all n links
+  double batched_ns_per_eval = 0.0;    ///< fused batch, all n links
   double checksum = 0.0;
   [[nodiscard]] double speedup_batched() const {
     return scalar_ns_per_eval / batched_ns_per_eval;
@@ -122,8 +122,8 @@ SizeResult bench_size(std::size_t n, double beta_value, long long reps,
 
   double checksum = 0.0;
 
-  // Scalar baseline: the pre-kernel consumer loop — one public per-link
-  // call per link, each re-running the O(n) validation sweep.
+  // Scalar baseline: one public per-link call per link, each re-running
+  // the O(n) validation sweep.
   out.scalar_ns_per_eval = best_ns_per_op(
       [&] {
         double sum = 0.0;
@@ -134,13 +134,11 @@ SizeResult bench_size(std::size_t n, double beta_value, long long reps,
       },
       reps, min_time_ms);
 
-  // Batched one-shot: single pass over the precomputed affectance matrix.
-  core::SuccessProbabilityKernel kernel(net, beta);
-  std::vector<double> values(n);
+  // Fused batch: q validated once, then the scalar expression per link.
   out.batched_ns_per_eval = best_ns_per_op(
       [&] {
-        kernel.evaluate(q, values);
-        checksum += values[n / 2];
+        checksum +=
+            core::batch_rayleigh_success_probabilities(net, q, beta)[n / 2];
       },
       reps, min_time_ms);
 
@@ -187,7 +185,7 @@ RwmResult bench_rwm(std::size_t links, std::size_t rounds, double beta_value,
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.add_string("sizes", "64,256,1024,4096",
-                   "comma-separated network sizes for the kernel sweep");
+                   "comma-separated network sizes for the Theorem-1 sweep");
   flags.add_int("reps", 5, "measurement windows per timer (best kept)");
   flags.add_double("min-time-ms", 200.0, "minimum duration of one window");
   flags.add_int("rwm-links", 200, "links in the end-to-end RWM game");

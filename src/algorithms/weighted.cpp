@@ -150,10 +150,16 @@ WeightedCapacityResult weighted_greedy_capacity(
     selected.push_back(order[r]);
     // Check the most loaded accepted links first: they are the likeliest
     // to be pushed over budget, and the check's outcome is order-free.
-    std::sort(selected.begin(), selected.end(),
-              [&cand](std::size_t x, std::size_t y) {
-                return cand[x].sum > cand[y].sum;
-              });
+    // One admission moves each sum a little, so the set stays nearly in
+    // order and one insertion-sort pass restores it.
+    for (std::size_t s = 1; s < selected.size(); ++s) {
+      const std::size_t x = selected[s];
+      std::size_t t = s;
+      for (; t > 0 && cand[selected[t - 1]].sum < cand[x].sum; --t) {
+        selected[t] = selected[t - 1];
+      }
+      selected[t] = x;
+    }
   }
   for (LinkId& k : selected) k = cand[k].id;
   std::sort(selected.begin(), selected.end());

@@ -26,11 +26,11 @@ void validate_probabilities(const Network& net,
 
 double detail::rayleigh_success_probability_unchecked(
     const Network& net, const units::ProbabilityVector& q, LinkId i,
-    units::Threshold beta) {
+    units::Threshold beta, double lead) {
   const double b = beta.value();
   const double sii = net.signal(i);
   RAYSCHED_EXPECT(sii > 0.0, "Theorem 1 needs a positive signal S(i,i)");
-  double p = q[i].value() * std::exp(-b * net.noise() / sii);
+  double p = lead * std::exp(-b * net.noise() / sii);
   for (LinkId j = 0; j < net.size(); ++j) {
     if (j == i || util::fp::exact_zero(q[j].value())) continue;
     // beta / (beta + S(i,i)/S(j,i)) rewritten division-safely as
@@ -52,10 +52,8 @@ double detail::rayleigh_success_log_probability_unchecked(
   if (util::fp::exact_zero(q[i].value())) {
     return -std::numeric_limits<double>::infinity();
   }
-  // Same coefficient expression and j-order as the kernel's evaluate_log
-  // (c(j,i) = b S(j,i) / (b S(j,i) + S(i,i)), j ascending); the kernel's
-  // j == i term adds log1p(-0 * q_i) == +0.0, so skipping it here is
-  // bitwise neutral and the two paths stay bit-identical.
+  // Same coefficient b S(j,i) / (b S(j,i) + S(i,i)) and j-order as the
+  // linear product above.
   const double neg_exponent = -b * net.noise() / sii;
   double lp = std::log(q[i].value()) + neg_exponent;
   for (LinkId j = 0; j < net.size(); ++j) {
@@ -87,8 +85,8 @@ units::Probability rayleigh_success_probability(
   require(i < net.size(), "rayleigh_success_probability: id out of range");
   require(beta.value() > 0.0,
           "rayleigh_success_probability: beta must be positive");
-  return units::Probability(
-      detail::rayleigh_success_probability_unchecked(net, q, i, beta));
+  return units::Probability(detail::rayleigh_success_probability_unchecked(
+      net, q, i, beta, q[i].value()));
 }
 
 units::Probability rayleigh_success_lower_bound(
@@ -167,8 +165,8 @@ double expected_rayleigh_successes(const Network& net,
   for (LinkId i = 0; i < net.size(); ++i) {
     total += util::fp::exact_zero(q[i].value())
                  ? 0.0
-                 : detail::rayleigh_success_probability_unchecked(net, q, i,
-                                                                  beta);
+                 : detail::rayleigh_success_probability_unchecked(
+                       net, q, i, beta, q[i].value());
   }
   RAYSCHED_ENSURE(total <= static_cast<double>(net.size()),
                   "expected successes cannot exceed the number of links");

@@ -72,10 +72,8 @@ void validate_probabilities(const model::Network& net,
 
 /// Theorem 1 in log space: ln Q_i, finite wherever q_i > 0 even when the
 /// linear product underflows to a denormal or to zero (n beyond ~40k links
-/// at typical coefficients), and exactly -inf when q_i == 0. Same term
-/// ordering as SuccessProbabilityKernel::evaluate_log, so the scalar and
-/// batched log paths are bit-identical. Not a units::Probability — the
-/// value lives in (-inf, 0].
+/// at typical coefficients), and exactly -inf when q_i == 0. Not a
+/// units::Probability — the value lives in (-inf, 0].
 [[nodiscard]] double rayleigh_success_log_probability(
     const model::Network& net, const units::ProbabilityVector& q,
     model::LinkId i, units::Threshold beta);
@@ -84,15 +82,18 @@ namespace detail {
 
 /// Theorem-1 per-link evaluation with validation stripped: callers (the
 /// aggregate entry points and the batch unit) validate q / i / beta once and
-/// then loop over this. Same expression and iteration order as the public
-/// function, so results are bit-identical.
+/// then loop over this. `lead` is the leading factor of the product: the
+/// public function passes q_i, the conditional batch passes 1.0 (the
+/// product ignores q[i], so that is Q_i with q_i := 1, and 1.0 * exp(x) is
+/// exact). Same expression and iteration order as the public function, so
+/// results are bit-identical.
 [[nodiscard]] double rayleigh_success_probability_unchecked(
     const model::Network& net, const units::ProbabilityVector& q,
-    model::LinkId i, units::Threshold beta);
+    model::LinkId i, units::Threshold beta, double lead);
 
 /// Log-space Theorem-1 per-link evaluation with validation stripped: the
 /// log1p companion of rayleigh_success_probability_unchecked (the RS-N4
-/// underflow escape hatch), bit-identical to the kernel's evaluate_log.
+/// underflow escape hatch).
 [[nodiscard]] double rayleigh_success_log_probability_unchecked(
     const model::Network& net, const units::ProbabilityVector& q,
     model::LinkId i, units::Threshold beta);

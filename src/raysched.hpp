@@ -36,7 +36,7 @@
 
 #include "core/utility.hpp"              // Definition 1 utilities
 #include "core/success_probability.hpp"  // Theorem 1 & Lemma 1
-#include "core/success_probability_batch.hpp"  // batched/incremental Theorem 1
+#include "core/success_probability_batch.hpp"  // fused per-link Theorem-1 batches
 #include "core/transfer.hpp"             // Lemma 2 solution transfer
 #include "core/simulation_transform.hpp" // Algorithm 1 / Theorem 2
 #include "core/latency_transform.hpp"    // Section-4 4x repetition

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 
 #include "test_helpers.hpp"
 
@@ -18,6 +17,7 @@ using raysched::testing::paper_network;
 using raysched::testing::random_geometric_network;
 using raysched::testing::random_matrix_network;
 using raysched::testing::same_selection_bitwise;
+using raysched::testing::seed_greedy_capacity;
 using raysched::testing::two_close_links;
 using raysched::testing::two_far_links;
 
@@ -100,57 +100,6 @@ TEST(Greedy, NearOptimalOnSmallInstances) {
     }
   }
   EXPECT_GE(worst_ratio, 0.5);
-}
-
-// The unweighted greedy as it stood before it became a unit-weight call of
-// weighted_greedy_capacity, kept verbatim as the bitwise reference: a
-// stable length sort of the normalised candidates and a checked
-// affectance_raw call per (candidate, selected) pair.
-CapacityResult seed_greedy_capacity(const Network& net, double beta,
-                                    const LinkSet& candidates,
-                                    const GreedyOptions& options) {
-  LinkSet order = candidates;
-  if (order.empty()) {
-    order.resize(net.size());
-    std::iota(order.begin(), order.end(), LinkId{0});
-  }
-  model::normalize_link_set(net, order);
-  if (net.has_geometry()) {
-    std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
-      return net.link(a).length() < net.link(b).length();
-    });
-  }
-
-  std::ostringstream tau;
-  tau << options.tau;
-  CapacityResult result;
-  result.algorithm = "greedy(tau=" + tau.str() + ")";
-  std::vector<double> in(net.size(), 0.0);
-  for (LinkId i : order) {
-    if (net.signal(i) / beta <= net.noise()) continue;
-    double on_i = 0.0;
-    bool ok = true;
-    for (LinkId j : result.selected) {
-      on_i += model::affectance_raw(net, j, i, units::Threshold(beta));
-      if (on_i > options.tau) {
-        ok = false;
-        break;
-      }
-      if (in[j] + model::affectance_raw(net, i, j, units::Threshold(beta)) > options.tau) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    for (LinkId j : result.selected) {
-      in[j] += model::affectance_raw(net, i, j, units::Threshold(beta));
-    }
-    in[i] = on_i;
-    result.selected.push_back(i);
-  }
-  std::sort(result.selected.begin(), result.selected.end());
-  result.value = static_cast<double>(result.selected.size());
-  return result;
 }
 
 TEST(Greedy, MatchesSeedLoopBitwiseOnRandomInstances) {

@@ -8,9 +8,6 @@
 //  * committed bit-pattern goldens for the scalar, batched and log-space
 //    evaluators over a closed-form network (no RNG, so the inputs
 //    themselves are bit-deterministic);
-//  * the scalar log companion is bit-identical to the kernel's
-//    evaluate_log (same expressions, same iteration order — the contract
-//    documented in core/success_probability.hpp);
 //  * the underflow boundary: above it exp(log) agrees with the linear
 //    product at ulp scale, below it the linear product is exactly 0 while
 //    the log form stays finite (the RS-N4 escape hatch).
@@ -66,7 +63,8 @@ units::ProbabilityVector golden_q() {
 }
 
 // Golden bit patterns, generated once from this harness and committed.
-// All three arrays must reproduce exactly under GCC and Clang.
+// All three arrays must reproduce exactly under GCC and Clang. The batch
+// is the scalar expression, so its goldens equal the scalar ones.
 constexpr std::uint64_t kGoldenScalar[kLinks] = {
     0x0000000000000000, 0x3fc89baa2aa1b9c7, 0x3fd8cd357750cefc,
     0x3fe2b3f179838ed5, 0x3fe909fc6860f666, 0x0000000000000000,
@@ -96,8 +94,8 @@ TEST(FpDeterminism, ScalarGoldenBits) {
 TEST(FpDeterminism, BatchGoldenBits) {
   const model::Network net = golden_network();
   const units::ProbabilityVector q = golden_q();
-  SuccessProbabilityKernel kernel(net, units::Threshold(kBeta));
-  const std::vector<double> batch = kernel.evaluate(q);
+  const std::vector<double> batch =
+      batch_rayleigh_success_probabilities(net, q, units::Threshold(kBeta));
   for (std::size_t i = 0; i < kLinks; ++i) {
     EXPECT_EQ(bits(batch[i]), kGoldenBatch[i])
         << "batch golden moved at link " << i << ": 0x" << std::hex
@@ -108,27 +106,12 @@ TEST(FpDeterminism, BatchGoldenBits) {
 TEST(FpDeterminism, LogGoldenBits) {
   const model::Network net = golden_network();
   const units::ProbabilityVector q = golden_q();
-  SuccessProbabilityKernel kernel(net, units::Threshold(kBeta));
-  const std::vector<double> lg = kernel.evaluate_log(q);
-  for (std::size_t i = 0; i < kLinks; ++i) {
-    EXPECT_EQ(bits(lg[i]), kGoldenLog[i])
-        << "log golden moved at link " << i << ": 0x" << std::hex
-        << bits(lg[i]);
-  }
-}
-
-// The scalar log companion promises bit-identity with the kernel's
-// evaluate_log (core/success_probability.hpp); -inf entries (q_i == 0)
-// compare equal by bit pattern too.
-TEST(FpDeterminism, ScalarLogMatchesKernelLogBitwise) {
-  const model::Network net = golden_network();
-  const units::ProbabilityVector q = golden_q();
-  SuccessProbabilityKernel kernel(net, units::Threshold(kBeta));
-  const std::vector<double> klog = kernel.evaluate_log(q);
   for (LinkId i = 0; i < net.size(); ++i) {
-    const double slog =
+    const double lg =
         rayleigh_success_log_probability(net, q, i, units::Threshold(kBeta));
-    EXPECT_EQ(bits(slog), bits(klog[i])) << "log paths split at link " << i;
+    EXPECT_EQ(bits(lg), kGoldenLog[i])
+        << "log golden moved at link " << i << ": 0x" << std::hex
+        << bits(lg);
   }
 }
 
@@ -146,16 +129,16 @@ model::Network underflow_network(std::size_t n) {
 TEST(FpDeterminism, LinearAndLogAgreeAboveUnderflow) {
   const model::Network net = golden_network();
   const units::ProbabilityVector q = golden_q();
-  SuccessProbabilityKernel kernel(net, units::Threshold(kBeta));
-  const std::vector<double> linear = kernel.evaluate(q);
-  const std::vector<double> lg = kernel.evaluate_log(q);
-  for (std::size_t i = 0; i < kLinks; ++i) {
-    if (linear[i] == 0.0) {
-      EXPECT_EQ(lg[i], -std::numeric_limits<double>::infinity())
+  const units::Threshold beta(kBeta);
+  for (LinkId i = 0; i < net.size(); ++i) {
+    const double linear = rayleigh_success_probability(net, q, i, beta).value();
+    const double lg = rayleigh_success_log_probability(net, q, i, beta);
+    if (linear == 0.0) {
+      EXPECT_EQ(lg, -std::numeric_limits<double>::infinity())
           << "zero linear value must mean q_i == 0 here, link " << i;
       continue;
     }
-    EXPECT_NEAR(std::exp(lg[i]), linear[i], linear[i] * 1e-12)
+    EXPECT_NEAR(std::exp(lg), linear, linear * 1e-12)
         << "log and linear paths disagree above the boundary, link " << i;
   }
 }
@@ -167,25 +150,21 @@ TEST(FpDeterminism, LogStaysFiniteBelowUnderflow) {
       units::uniform_probabilities(n, units::Probability(1.0));
   const units::Threshold beta(1.0);
 
-  SuccessProbabilityKernel kernel(net, beta);
-  const std::vector<double> linear = kernel.evaluate(q);
-  const std::vector<double> lg = kernel.evaluate_log(q);
+  const std::vector<double> batch =
+      batch_rayleigh_success_probabilities(net, q, beta);
   for (LinkId i = 0; i < n; ++i) {
-    // The linear product underflows to exact zero...
-    EXPECT_EQ(linear[i], 0.0) << "expected underflow at link " << i;
-    EXPECT_EQ(
-        bits(rayleigh_success_probability(net, q, i, beta).value()),
-        bits(linear[i]))
+    // The linear product underflows to exact zero, in the scalar and the
+    // batch alike...
+    const double linear = rayleigh_success_probability(net, q, i, beta).value();
+    EXPECT_EQ(linear, 0.0) << "expected underflow at link " << i;
+    EXPECT_EQ(bits(batch[i]), bits(linear))
         << "scalar and batch disagree in the underflow regime, link " << i;
-    // ...while the log form stays finite, deep below log(DBL_MIN), and
-    // bit-identical between the scalar companion and the kernel.
-    EXPECT_TRUE(std::isfinite(lg[i])) << "log underflowed at link " << i;
-    EXPECT_LT(lg[i], -710.0);
-    EXPECT_EQ(bits(rayleigh_success_log_probability(net, q, i, beta)),
-              bits(lg[i]))
-        << "log paths split in the underflow regime, link " << i;
+    // ...while the log form stays finite, deep below log(DBL_MIN).
+    const double lg = rayleigh_success_log_probability(net, q, i, beta);
+    EXPECT_TRUE(std::isfinite(lg)) << "log underflowed at link " << i;
+    EXPECT_LT(lg, -710.0);
     // Round-tripping through exp reproduces the underflow consistently.
-    EXPECT_EQ(std::exp(lg[i]), 0.0);
+    EXPECT_EQ(std::exp(lg), 0.0);
   }
 }
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
+#include <sstream>
 #include <vector>
 
 #include "raysched.hpp"
@@ -122,6 +125,59 @@ inline bool has_duplicate_link(const model::Network& net) {
     }
   }
   return false;
+}
+
+/// The unweighted greedy as it stood before it became a unit-weight call of
+/// weighted_greedy_capacity, kept verbatim as the bitwise reference: a
+/// stable length sort of the normalised candidates and a checked
+/// affectance_raw call per (candidate, selected) pair.
+inline algorithms::CapacityResult seed_greedy_capacity(
+    const model::Network& net, double beta, const model::LinkSet& candidates,
+    const algorithms::GreedyOptions& options) {
+  model::LinkSet order = candidates;
+  if (order.empty()) {
+    order.resize(net.size());
+    std::iota(order.begin(), order.end(), model::LinkId{0});
+  }
+  model::normalize_link_set(net, order);
+  if (net.has_geometry()) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&](model::LinkId a, model::LinkId b) {
+                       return net.link(a).length() < net.link(b).length();
+                     });
+  }
+
+  std::ostringstream tau;
+  tau << options.tau;
+  algorithms::CapacityResult result;
+  result.algorithm = "greedy(tau=" + tau.str() + ")";
+  std::vector<double> in(net.size(), 0.0);
+  for (model::LinkId i : order) {
+    if (net.signal(i) / beta <= net.noise()) continue;
+    double on_i = 0.0;
+    bool ok = true;
+    for (model::LinkId j : result.selected) {
+      on_i += model::affectance_raw(net, j, i, units::Threshold(beta));
+      if (on_i > options.tau) {
+        ok = false;
+        break;
+      }
+      if (in[j] + model::affectance_raw(net, i, j, units::Threshold(beta)) >
+          options.tau) {
+        ok = false;
+        break;
+      }
+    }
+    if (!ok) continue;
+    for (model::LinkId j : result.selected) {
+      in[j] += model::affectance_raw(net, i, j, units::Threshold(beta));
+    }
+    in[i] = on_i;
+    result.selected.push_back(i);
+  }
+  std::sort(result.selected.begin(), result.selected.end());
+  result.value = static_cast<double>(result.selected.size());
+  return result;
 }
 
 /// Same selected set, and the same value down to the last bit, for any

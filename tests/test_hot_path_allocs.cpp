@@ -1,6 +1,6 @@
 // Runtime pin for the hot-path memory discipline that tools/raysched_mem
 // checks lexically: after warm-up, the steady-state serving slot loop, the
-// Theorem-1 kernel's out-buffer evaluators, the two expected-successes
+// out-buffer conditional Theorem-1 batch, the two expected-successes
 // aggregates, and the out-buffer sinr_rayleigh_all perform ZERO heap
 // allocations. The counting operator new below is program-wide for this
 // binary but purely passive (it forwards to malloc and only bumps an
@@ -118,16 +118,16 @@ TEST(HotPathAllocs, SteadyStateSlotLoopRayleigh) {
   expect_zero_alloc_slots(core::Propagation::Rayleigh);
 }
 
-TEST(HotPathAllocs, OneShotKernelAllocatesNothing) {
+TEST(HotPathAllocs, ConditionalBatchAllocatesNothing) {
   const model::Network net = paper_network(32, 5);
   const units::Threshold beta(2.0);
-  core::SuccessProbabilityKernel kernel(net, beta);
   std::vector<double> q_raw(net.size(), 0.5);
   q_raw[3] = 0.0;  // an exact zero exercises the skip branches
   const units::ProbabilityVector q = units::probabilities(q_raw);
   const model::LinkSet active = {0, 4, 9, 17, 30};
   std::vector<double> out;
-  kernel.evaluate(q, out);  // warm-up: out reaches its final capacity
+  // Warm-up: out reaches its final capacity.
+  core::batch_rayleigh_conditional_success_probabilities(net, q, beta, out);
 
   const auto expect_no_allocs = [](const char* what, auto&& call) {
     const std::uint64_t base = alloc_count();
@@ -135,12 +135,9 @@ TEST(HotPathAllocs, OneShotKernelAllocatesNothing) {
     EXPECT_EQ(alloc_count() - base, 0u) << what << " allocated";
   };
   double sink = 0.0;
-  expect_no_allocs("evaluate", [&] { kernel.evaluate(q, out); });
-  sink += out[1];
-  expect_no_allocs("evaluate_conditional",
-                   [&] { kernel.evaluate_conditional(q, out); });
-  sink += out[1];
-  expect_no_allocs("evaluate_log", [&] { kernel.evaluate_log(q, out); });
+  expect_no_allocs("batch_rayleigh_conditional_success_probabilities", [&] {
+    core::batch_rayleigh_conditional_success_probabilities(net, q, beta, out);
+  });
   sink += out[1];
   expect_no_allocs("expected_rayleigh_successes", [&] {
     sink += core::expected_rayleigh_successes(net, q, beta);

@@ -1,14 +1,8 @@
-// Equivalence suite for the batched Theorem-1 kernel: pins the kernel and
-// the fused batch_* free functions to the scalar reference implementations.
-//
-// Two tolerance tiers, matching the contracts in
-// src/core/success_probability_batch.hpp:
-//  * The fused batch_* functions and the expected-successes aggregates are
-//    BIT-IDENTICAL to the scalar loops (same expression, same iteration
-//    order) — tested with EXPECT_EQ.
-//  * The kernel's division-free matrix form differs from the scalar
-//    division form only in per-factor rounding — tested at ulp scale
-//    (relative 1e-12 over products of up to ~500 factors).
+// Equivalence suite for the fused Theorem-1 batches: pins every batch_*
+// free function and the expected-successes aggregates to the scalar
+// reference implementations. Each batch uses the scalar expression and
+// iteration order, so every comparison is BIT-IDENTICAL (EXPECT_EQ); the
+// log-space companion is checked against the linear form at ulp scale.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,14 +18,6 @@ using model::LinkId;
 using raysched::testing::hand_matrix_network;
 using raysched::testing::paper_network;
 
-/// ulp-scale comparison for the matrix-vs-division forms: relative 1e-12
-/// with an absolute floor for values that are legitimately ~0.
-void expect_ulp_close(double actual, double reference, const char* what,
-                      std::size_t i) {
-  EXPECT_NEAR(actual, reference, std::abs(reference) * 1e-12 + 1e-300)
-      << what << " diverged from scalar at link " << i;
-}
-
 /// Random probability profile with degenerate entries forced in: q[0] = 0,
 /// q[1] = 1, rest uniform. Exercises the q=0 skip and the q=1 full factor.
 std::vector<double> random_profile(std::size_t n, std::uint64_t seed) {
@@ -43,49 +29,9 @@ std::vector<double> random_profile(std::size_t n, std::uint64_t seed) {
   return q;
 }
 
-// ---------------------------------------------------------------------------
-// One-shot kernel vs scalar Theorem 1.
-// ---------------------------------------------------------------------------
-
-TEST(SuccessBatch, KernelMatchesScalarOnHandNetwork) {
-  auto net = hand_matrix_network(0.1);
-  const units::Threshold beta(1.2);
-  const auto q = units::probabilities({0.8, 0.5, 0.3});
-  SuccessProbabilityKernel kernel(net, beta);
-  ASSERT_EQ(kernel.size(), 3u);
-  EXPECT_DOUBLE_EQ(kernel.beta().value(), 1.2);
-  const std::vector<double> out = kernel.evaluate(q);
-  ASSERT_EQ(out.size(), 3u);
-  for (LinkId i = 0; i < 3; ++i) {
-    expect_ulp_close(out[i],
-                     rayleigh_success_probability(net, q, i, beta).value(),
-                     "evaluate", i);
-  }
-}
-
-TEST(SuccessBatch, KernelMatchesScalarOnRandomInstances) {
-  // Non-power-of-two and larger sizes, degenerate entries included.
-  for (const std::size_t n : {std::size_t{17}, std::size_t{64}}) {
-    for (const std::uint64_t seed : {1u, 2u, 3u}) {
-      auto net = paper_network(n, seed);
-      const units::Threshold beta(2.5);
-      const auto q = units::probabilities(random_profile(n, seed ^ 0xBEEF));
-      SuccessProbabilityKernel kernel(net, beta);
-      const std::vector<double> out = kernel.evaluate(q);
-      ASSERT_EQ(out.size(), n);
-      EXPECT_EQ(out[0], 0.0);  // q[0] == 0 must yield an exact zero
-      for (LinkId i = 0; i < n; ++i) {
-        expect_ulp_close(out[i],
-                         rayleigh_success_probability(net, q, i, beta).value(),
-                         "evaluate", i);
-      }
-    }
-  }
-}
-
 TEST(SuccessBatch, ZeroCrossGainReducesToNoiseFactor) {
   // With zero off-diagonal gains every interference factor is exactly 1 and
-  // both forms collapse to q_i * exp(-beta*nu/S(i,i)).
+  // Theorem 1 collapses to q_i * exp(-beta*nu/S(i,i)).
   const std::vector<double> gains = {
       4.0, 0.0, 0.0,  //
       0.0, 2.0, 0.0,  //
@@ -94,38 +40,35 @@ TEST(SuccessBatch, ZeroCrossGainReducesToNoiseFactor) {
   model::Network net(3, gains, units::Power(0.5));
   const units::Threshold beta(2.0);
   const auto q = units::probabilities({0.7, 1.0, 0.0});
-  SuccessProbabilityKernel kernel(net, beta);
-  const std::vector<double> out = kernel.evaluate(q);
+  const std::vector<double> out =
+      batch_rayleigh_success_probabilities(net, q, beta);
   EXPECT_DOUBLE_EQ(out[0], 0.7 * std::exp(-2.0 * 0.5 / 4.0));
   EXPECT_DOUBLE_EQ(out[1], std::exp(-2.0 * 0.5 / 2.0));
   EXPECT_DOUBLE_EQ(out[2], 0.0);
   for (LinkId i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(out[i],
                      rayleigh_success_probability(net, q, i, beta).value());
-    EXPECT_EQ(kernel.affectance(i, i), 0.0);
   }
-  EXPECT_EQ(kernel.affectance(0, 1), 0.0);  // zero gain -> zero affectance
 }
 
 TEST(SuccessBatch, ConditionalStripsOwnProbability) {
   auto net = paper_network(12, 9);
   const units::Threshold beta(1.5);
   const auto q = units::probabilities(random_profile(12, 77));
-  SuccessProbabilityKernel kernel(net, beta);
   std::vector<double> conditional;
-  kernel.evaluate_conditional(q, conditional);
+  batch_rayleigh_conditional_success_probabilities(net, q, beta, conditional);
   ASSERT_EQ(conditional.size(), 12u);
   for (LinkId i = 0; i < 12; ++i) {
     // Reference: scalar Theorem 1 with q_i forced to 1 (certain transmit).
+    // EXPECT_EQ on purpose: the fused conditional promises bitwise equality.
     std::vector<double> forced(q.size());
     for (std::size_t j = 0; j < q.size(); ++j) forced[j] = q[j].value();
     forced[i] = 1.0;
-    expect_ulp_close(
-        conditional[i],
-        rayleigh_success_probability(net, units::probabilities(forced), i,
-                                     beta)
-            .value(),
-        "evaluate_conditional", i);
+    EXPECT_EQ(conditional[i],
+              rayleigh_success_probability(net, units::probabilities(forced),
+                                           i, beta)
+                  .value())
+        << "link " << i;
   }
 }
 
@@ -137,13 +80,15 @@ TEST(SuccessBatch, LogSpaceMatchesPlainEvaluation) {
   auto net = paper_network(20, 5);
   const units::Threshold beta(2.5);
   const auto q = units::probabilities(random_profile(20, 123));
-  SuccessProbabilityKernel kernel(net, beta);
-  const std::vector<double> plain = kernel.evaluate(q);
-  const std::vector<double> logs = kernel.evaluate_log(q);
-  ASSERT_EQ(logs.size(), 20u);
-  EXPECT_EQ(logs[0], -std::numeric_limits<double>::infinity());  // q[0] == 0
+  const std::vector<double> plain =
+      batch_rayleigh_success_probabilities(net, q, beta);
+  // q[0] == 0
+  EXPECT_EQ(rayleigh_success_log_probability(net, q, 0, beta),
+            -std::numeric_limits<double>::infinity());
   for (LinkId i = 1; i < 20; ++i) {
-    EXPECT_NEAR(logs[i], std::log(plain[i]), 1e-9) << "link " << i;
+    EXPECT_NEAR(rayleigh_success_log_probability(net, q, i, beta),
+                std::log(plain[i]), 1e-9)
+        << "link " << i;
   }
 }
 
@@ -157,10 +102,13 @@ TEST(SuccessBatch, LogSpaceSurvivesUnderflow) {
   model::Network net(n, std::move(gains), units::Power(0.0));
   const units::Threshold beta(2.5);
   const auto q = units::probabilities(std::vector<double>(n, 1.0));
-  SuccessProbabilityKernel kernel(net, beta);
 
-  const std::vector<double> plain = kernel.evaluate(q);
-  const std::vector<double> logs = kernel.evaluate_log(q);
+  const std::vector<double> plain =
+      batch_rayleigh_success_probabilities(net, q, beta);
+  std::vector<double> logs(n);
+  for (LinkId i = 0; i < n; ++i) {
+    logs[i] = rayleigh_success_log_probability(net, q, i, beta);
+  }
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(plain[i], 0.0) << "plain product should underflow at link " << i;
     EXPECT_TRUE(std::isfinite(logs[i])) << "log form underflowed at " << i;
@@ -214,12 +162,19 @@ TEST(SuccessBatch, FusedActiveBatchIsBitIdenticalToScalar) {
 
 TEST(SuccessBatch, ValidatesInput) {
   auto net = hand_matrix_network();
-  EXPECT_THROW(
-      SuccessProbabilityKernel(net, units::Threshold::checked(0.0)),
-      raysched::error);
-  SuccessProbabilityKernel kernel(net, units::Threshold(1.0));
-  EXPECT_THROW(kernel.evaluate(units::probabilities({0.5, 0.5})),
+  const auto q = units::probabilities({0.5, 0.5, 0.5});
+  std::vector<double> out;
+  EXPECT_THROW(batch_rayleigh_conditional_success_probabilities(
+                   net, q, units::Threshold::checked(0.0), out),
+               raysched::error);
+  EXPECT_THROW(batch_rayleigh_conditional_success_probabilities(
+                   net, units::probabilities({0.5, 0.5}),
+                   units::Threshold(1.0), out),
                raysched::error);  // size mismatch
+  EXPECT_THROW(
+      batch_rayleigh_success_probabilities(net, q,
+                                           units::Threshold::checked(0.0)),
+      raysched::error);
   EXPECT_THROW(
       batch_rayleigh_success_probabilities(net, units::probabilities({0.5}),
                                            units::Threshold(1.0)),

@@ -61,8 +61,10 @@ TEST(WeightedGreedy, UnitWeightsBehaveLikeCardinality) {
   const auto weighted = weighted_greedy_capacity(net, 2.5, ones);
   EXPECT_DOUBLE_EQ(weighted.value,
                    static_cast<double>(weighted.selected.size()));
-  // greedy_capacity is this call: the same set, the same value bits.
-  const auto cardinality = greedy_capacity(net, 2.5);
+  // Equal weights fall through to the length order of the old cardinality
+  // loop: the same set, the same value bits.
+  const auto cardinality =
+      raysched::testing::seed_greedy_capacity(net, 2.5, {}, {});
   EXPECT_EQ(weighted.selected, cardinality.selected);
   EXPECT_EQ(std::memcmp(&weighted.value, &cardinality.value, sizeof(double)),
             0);
