@@ -1,6 +1,5 @@
 #include "serve/schedule_agent.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -13,7 +12,6 @@ ScheduleAgent::ScheduleAgent(const model::Network& net, units::Threshold beta,
                              std::size_t threads, PolicyKind policy,
                              const PolicyOptions& options)
     : net_(net),
-      beta_(beta),
       policy_(make_schedule_policy(policy, net, beta, options)),
       pool_(threads == 0 ? 2 : threads) {
   require(net.size() > 0, "ScheduleAgent: network must not be empty");
@@ -39,30 +37,24 @@ void ScheduleAgent::submit(std::uint64_t slot, ScheduleRequest request,
     util::MutexLock lock(mutex_);
     outcome_ = RecomputeOutcome{};
   }
-  // The task computes entirely on its own copy of the request and publishes
-  // the finished result under mutex_ in one step — no shared state is
-  // touched mid-computation (raysched_flow RS-D3: executor bodies must not
-  // write captured shared state outside a synchronized publish). The policy
-  // object is the one sanctioned exception: it is task-confined by the
-  // one-in-flight protocol (reap() joins the pool before any other access).
-  pool_.submit([this, request_copy = request_] {
-    // RS-D2 whitelisted timing site: wall_seconds is reporting-only and
-    // never steers control flow (adoption timing is slot-counted).
-    const auto t0 = std::chrono::steady_clock::now();
+  // The task reads request_ in place — nothing writes it until reap() has
+  // joined the pool — and publishes the finished result under mutex_ in
+  // one step, so no shared state is written mid-computation (raysched_flow
+  // RS-D3: executor bodies must not write captured shared state outside a
+  // synchronized publish). The policy object is the one sanctioned
+  // exception: it is task-confined by the one-in-flight protocol.
+  pool_.submit([this] {
     // Validation boundary: poisoned gain-derived inputs must be caught
     // here, before they can steer any policy's comparisons.
-    for (double w : request_copy.weights) {
+    for (double w : request_.weights) {
       require_code(std::isfinite(w) && w >= 0.0, ErrorCode::PoisonedInput,
                    "recompute weights must be finite and non-negative");
     }
     RecomputeOutcome done;
-    PolicyResult computed = policy_->compute(request_copy);
+    PolicyResult computed = policy_->compute(request_);
     done.schedule = std::move(computed.schedule);
     done.expected_rate = computed.expected_rate;
     done.ok = true;
-    done.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
     util::MutexLock lock(mutex_);
     outcome_ = std::move(done);
   });

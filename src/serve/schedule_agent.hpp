@@ -20,8 +20,7 @@
 //   * If latency_slots exceeds the service's deadline, the loop declares a
 //     timeout at submit + deadline without reaping, keeps serving from the
 //     stale schedule, and discards the overdue result when it finally
-//     lands. The wall-clock duration of the computation is recorded for
-//     reporting but never steers control flow.
+//     lands. No wall clock is read: adoption timing is slot-counted.
 //
 //   * Input validation is the agent's contract boundary: non-finite or
 //     negative weights (the poisoned-gain injection surface) throw
@@ -60,7 +59,6 @@ struct RecomputeOutcome {
   std::string what;                      ///< failure message when !ok
   model::LinkSet schedule;               ///< feasible set when ok
   double expected_rate = 0.0;  ///< policy diagnostic (reporting only)
-  double wall_seconds = 0.0;  ///< measured compute time (reporting only)
 };
 
 class ScheduleAgent {
@@ -89,8 +87,8 @@ class ScheduleAgent {
   [[nodiscard]] const SchedulePolicy& policy() const { return *policy_; }
 
   /// Launches a recompute. Takes the request by value on purpose: the agent
-  /// moves it into the async task, which must own its input. request.slot
-  /// is overwritten with `slot`.
+  /// moves it into request_, the one copy the async task reads in place.
+  /// request.slot is overwritten with `slot`.
   void submit(std::uint64_t slot, ScheduleRequest request,
               std::uint64_t latency_slots);
 
@@ -104,19 +102,23 @@ class ScheduleAgent {
 
  private:
   const model::Network& net_;
-  units::Threshold beta_;
   std::unique_ptr<SchedulePolicy> policy_;  // worker-task confined in flight
-  sim::ThreadPool pool_;
   // Loop-thread-only bookkeeping: submit()/reap()/accessors are called from
   // the single serving-loop thread, never from the worker task.
   bool in_flight_ = false;
   std::uint64_t submit_slot_ = 0;
   std::uint64_t latency_slots_ = 0;
-  ScheduleRequest request_;  // loop-owned; the task computes on a copy
+  // The in-flight request: written by submit() only while nothing is in
+  // flight, then read in place by the task and by pending_request() —
+  // immutable until reap() has joined the pool.
+  ScheduleRequest request_;
   // The result is the only loop/worker shared state: the task publishes it
   // under mutex_, reap() consumes it under mutex_ after pool_.wait().
   util::Mutex mutex_;
   RecomputeOutcome outcome_ RAYSCHED_GUARDED_BY(mutex_);
+  // Declared last so it is destroyed first: a task still running when the
+  // agent dies is joined while request_, mutex_ and outcome_ are alive.
+  sim::ThreadPool pool_;
 };
 
 }  // namespace raysched::serve

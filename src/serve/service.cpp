@@ -63,16 +63,22 @@ Service::Service(model::Network net, const ServeConfig& config)
           "Service: overload_schedule_frac must be in (0, 1]");
   require(config_.snapshot_period == 0 || !config_.snapshot_path.empty(),
           "Service: snapshot_period needs a snapshot_path");
-  queue_.assign(net_.size(), 0);
-  active_.assign(net_.size(), 1);  // every link starts joined
-  departed_flags_.assign(net_.size(), 0);
-  feedback_attempt_.assign(net_.size(), 0);
-  feedback_success_.assign(net_.size(), 0);
+  state_.master_seed = config_.master_seed;
+  state_.num_links = net_.size();
+  state_.beta = config_.beta.value();
+  state_.propagation = to_string(config_.propagation);
+  state_.traffic_model = to_string(config_.traffic.model);
+  state_.policy = to_string(agent_.policy().kind());
+  state_.queues.assign(net_.size(), 0);
+  state_.active.assign(net_.size(), 1);  // every link starts joined
+  state_.departed_flags.assign(net_.size(), 0);
+  state_.feedback_attempt.assign(net_.size(), 0);
+  state_.feedback_success.assign(net_.size(), 0);
 }
 
 std::uint64_t Service::total_backlog() const {
   std::uint64_t sum = 0;
-  for (std::uint64_t q : queue_) sum += q;
+  for (std::uint64_t q : state_.queues) sum += q;
   return sum;
 }
 
@@ -81,18 +87,19 @@ bool Service::conservation_holds() const {
 }
 
 bool Service::conservation_holds(std::uint64_t backlog) const {
-  return arrivals_total_ == served_total_ + backlog + drops_.total();
+  return state_.arrivals_total ==
+         state_.served_total + backlog + state_.drops.total();
 }
 
 void Service::bump_backoff(std::uint64_t slot) {
   // Saturating slot algebra: plain `backoff * 2` wraps to 0 after enough
   // consecutive timeout windows and a wrapped `slot + backoff` lands in the
   // past, so the retry loop would spin every slot instead of backing off.
-  backoff_slots_ =
-      backoff_slots_ == 0
-          ? config_.backoff_initial
-          : std::min(util::sat_mul(backoff_slots_, 2), config_.backoff_max);
-  cooldown_until_ = util::sat_add(slot, backoff_slots_);
+  std::uint64_t& backoff = state_.backoff_slots;
+  backoff = backoff == 0
+                ? config_.backoff_initial
+                : std::min(util::sat_mul(backoff, 2), config_.backoff_max);
+  state_.cooldown_until = util::sat_add(slot, backoff);
 }
 
 // raysched:hot
@@ -110,7 +117,7 @@ void Service::apply_churn(std::uint64_t slot,
     std::vector<model::LinkId>& ids = churn_scratch_;
     ids.clear();
     for (model::LinkId i = 0; i < net_.size(); ++i) {
-      if (active_[i] != 0) ids.push_back(i);
+      if (state_.active[i] != 0) ids.push_back(i);
     }
     if (ids.empty()) continue;
     const std::size_t victims = std::min(
@@ -124,24 +131,24 @@ void Service::apply_churn(std::uint64_t slot,
           j + static_cast<std::size_t>(rng.uniform_index(ids.size() - j));
       std::swap(ids[j], ids[pick]);
       const model::LinkId gone = ids[j];
-      active_[gone] = 0;
-      departed_flags_[gone] = 1;
-      drops_.churn += queue_[gone];
-      queue_[gone] = 0;
+      state_.active[gone] = 0;
+      state_.departed_flags[gone] = 1;
+      state_.drops.churn += state_.queues[gone];
+      state_.queues[gone] = 0;
     }
   }
 
   if (util::fp::exact_zero(leave) && util::fp::exact_zero(join)) return;
   for (model::LinkId i = 0; i < net_.size(); ++i) {
-    if (active_[i] != 0) {
+    if (state_.active[i] != 0) {
       if (leave > 0.0 && rng.bernoulli(leave)) {
-        active_[i] = 0;
-        departed_flags_[i] = 1;
-        drops_.churn += queue_[i];
-        queue_[i] = 0;
+        state_.active[i] = 0;
+        state_.departed_flags[i] = 1;
+        state_.drops.churn += state_.queues[i];
+        state_.queues[i] = 0;
       }
     } else if (join > 0.0 && rng.bernoulli(join)) {
-      active_[i] = 1;  // rejoins with an empty queue
+      state_.active[i] = 1;  // rejoins with an empty queue
     }
   }
 }
@@ -149,7 +156,7 @@ void Service::apply_churn(std::uint64_t slot,
 // raysched:hot
 std::uint64_t Service::apply_arrivals(std::uint64_t slot) {
   util::RngStream rng = master_.derive(kTrafficTag, slot);
-  traffic_.arrivals(rng, active_, arrivals_scratch_);
+  traffic_.arrivals(rng, state_.active, arrivals_scratch_);
 
   const HealthState state = monitor_.state();
   const std::uint64_t threshold =
@@ -164,35 +171,37 @@ std::uint64_t Service::apply_arrivals(std::uint64_t slot) {
     if (state == HealthState::Quarantined) {
       // Quarantine refuses all new work: the network data cannot be
       // trusted, so nothing is promised that might never be served.
-      drops_.quarantine += count;
+      state_.drops.quarantine += count;
       continue;
     }
     const std::uint64_t room =
-        queue_[i] < threshold ? threshold - queue_[i] : 0;
+        state_.queues[i] < threshold ? threshold - state_.queues[i] : 0;
     const std::uint64_t admitted = std::min(count, room);
-    queue_[i] += admitted;
-    admitted_total_ += admitted;
+    state_.queues[i] += admitted;
+    state_.admitted_total += admitted;
     const std::uint64_t refused = count - admitted;
     if (state == HealthState::Overloaded) {
-      drops_.shed += refused;
+      state_.drops.shed += refused;
     } else {
-      drops_.capacity += refused;
+      state_.drops.capacity += refused;
     }
   }
-  arrivals_total_ += offered;
+  state_.arrivals_total += offered;
   return offered;
 }
 
 void Service::submit_recompute(std::uint64_t slot) {
   const std::size_t n = net_.size();
+  const std::vector<std::uint64_t>& queues = state_.queues;
+  const std::vector<char>& active = state_.active;
   ScheduleRequest request;
   std::vector<double>& weights = request.weights;
   weights.assign(n, 0.0);
   std::size_t active_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (active_[i] != 0) {
+    if (active[i] != 0) {
       ++active_count;
-      weights[i] = static_cast<double>(queue_[i]);
+      weights[i] = static_cast<double>(queues[i]);
     }
   }
   if (monitor_.state() == HealthState::Overloaded && active_count > 0) {
@@ -205,7 +214,7 @@ void Service::submit_recompute(std::uint64_t slot) {
                          static_cast<double>(active_count))));
     heavy_scratch_.clear();
     for (model::LinkId i = 0; i < n; ++i) {
-      if (active_[i] != 0 && queue_[i] > 0) heavy_scratch_.push_back(i);
+      if (active[i] != 0 && queues[i] > 0) heavy_scratch_.push_back(i);
     }
     if (heavy_scratch_.size() > keep) {
       // Only membership in the top-`keep` matters, not its internal order,
@@ -213,9 +222,9 @@ void Service::submit_recompute(std::uint64_t slot) {
       // nth_element partition keeps exactly the set a full sort would.
       std::nth_element(heavy_scratch_.begin(), heavy_scratch_.begin() + keep,
                        heavy_scratch_.end(),
-                       [this](model::LinkId a, model::LinkId b) {
-                         if (queue_[a] != queue_[b]) {
-                           return queue_[a] > queue_[b];
+                       [&queues](model::LinkId a, model::LinkId b) {
+                         if (queues[a] != queues[b]) {
+                           return queues[a] > queues[b];
                          }
                          return a < b;
                        });
@@ -228,31 +237,33 @@ void Service::submit_recompute(std::uint64_t slot) {
   // Churn payload: links gone inactive since the previous submit. The
   // flags reset here to start tracking the new window — while this request
   // is in flight they double as the adoption-time pruning set.
+  std::vector<char>& departed = state_.departed_flags;
   for (std::size_t i = 0; i < n; ++i) {
-    if (departed_flags_[i] != 0) request.departed.push_back(i);
+    if (departed[i] != 0) request.departed.push_back(i);
   }
-  std::fill(departed_flags_.begin(), departed_flags_.end(), 0);
+  std::fill(departed.begin(), departed.end(), 0);
   // AHM feedback payload: (id, succeeded) for every link that attempted
   // service since the previous submit.
+  std::vector<char>& attempt = state_.feedback_attempt;
+  std::vector<char>& success = state_.feedback_success;
   for (std::size_t i = 0; i < n; ++i) {
-    if (feedback_attempt_[i] != 0) {
+    if (attempt[i] != 0) {
       request.feedback_schedule.push_back(i);
-      request.feedback_success.push_back(feedback_success_[i]);
+      request.feedback_success.push_back(success[i]);
     }
   }
-  std::fill(feedback_attempt_.begin(), feedback_attempt_.end(), 0);
-  std::fill(feedback_success_.begin(), feedback_success_.end(), 0);
+  std::fill(attempt.begin(), attempt.end(), 0);
+  std::fill(success.begin(), success.end(), 0);
 
-  inflight_clean_weights_ = weights;
-  inflight_poisoned_ = poison_active_;
-  inflight_timed_out_ = false;
+  state_.recompute.poisoned = state_.poison_active;
+  state_.recompute.timed_out = false;
   // Captured *before* submit: the exact policy state a kill/restore must
   // replay the resubmitted request onto. Legal here — nothing in flight.
-  inflight_policy_state_ = agent_.policy().persisted_state();
+  state_.policy_state = agent_.policy().persisted_state();
   const std::uint64_t latency =
-      util::sat_add(config_.recompute_latency, pending_extra_latency_);
-  pending_extra_latency_ = 0;
-  if (inflight_poisoned_) {
+      util::sat_add(config_.recompute_latency, state_.pending_extra_latency);
+  state_.pending_extra_latency = 0;
+  if (state_.recompute.poisoned) {
     // The scripted poisoned-gain fault: the recompute's weight inputs are
     // corrupted wholesale; the agent's validation boundary must catch it.
     std::fill(weights.begin(), weights.end(),
@@ -265,7 +276,7 @@ void Service::manage_recompute(std::uint64_t slot) {
   if (agent_.in_flight()) {
     if (slot >= agent_.due_slot()) {
       RecomputeOutcome outcome = agent_.reap();
-      if (inflight_timed_out_) {
+      if (state_.recompute.timed_out) {
         // The deadline already passed and was accounted; the overdue result
         // is discarded no matter what it says.
       } else if (outcome.ok) {
@@ -276,107 +287,83 @@ void Service::manage_recompute(std::uint64_t slot) {
         std::size_t kept = 0;
         for (std::size_t a = 0; a < outcome.schedule.size(); ++a) {
           const model::LinkId id = outcome.schedule[a];
-          if (departed_flags_[id] != 0) {
-            ++drops_.stale_pruned;
+          if (state_.departed_flags[id] != 0) {
+            ++state_.drops.stale_pruned;
           } else {
             outcome.schedule[kept++] = id;
           }
         }
         outcome.schedule.resize(kept);
-        schedule_ = std::move(outcome.schedule);
+        state_.schedule = std::move(outcome.schedule);
         expected_rate_ = outcome.expected_rate;
-        ++schedule_epoch_;
-        schedule_stale_ = false;
+        ++state_.schedule_epoch;
+        state_.schedule_stale = false;
         monitor_.on_recompute_ok(slot);
-        ++recompute_adoptions_;
-        backoff_slots_ = 0;
-        cooldown_until_ = slot;
+        ++state_.recompute_adoptions;
+        state_.backoff_slots = 0;
+        state_.cooldown_until = slot;
       } else {
-        schedule_stale_ = true;
+        state_.schedule_stale = true;
         monitor_.on_recompute_error(slot, outcome.code);
-        ++recompute_failures_;
+        ++state_.recompute_failures;
         bump_backoff(slot);
       }
-      inflight_timed_out_ = false;
-      inflight_poisoned_ = false;
-      inflight_clean_weights_.clear();
-      inflight_policy_state_.clear();
-    } else if (!inflight_timed_out_ &&
+      state_.recompute.timed_out = false;
+      state_.recompute.poisoned = false;
+      state_.policy_state.clear();
+    } else if (!state_.recompute.timed_out &&
                slot >= util::sat_add(agent_.submit_slot(),
                                      config_.recompute_deadline)) {
       // Deadline overrun: keep serving from the last good schedule, marked
       // stale, and back off before the next attempt.
-      inflight_timed_out_ = true;
-      schedule_stale_ = true;
+      state_.recompute.timed_out = true;
+      state_.schedule_stale = true;
       monitor_.on_recompute_timeout(slot);
-      ++recompute_timeouts_;
+      ++state_.recompute_timeouts;
       bump_backoff(slot);
     }
   }
-  if (!agent_.in_flight() && slot >= cooldown_until_ &&
-      (schedule_stale_ || slot % config_.recompute_period == 0)) {
+  if (!agent_.in_flight() && slot >= state_.cooldown_until &&
+      (state_.schedule_stale || slot % config_.recompute_period == 0)) {
     submit_recompute(slot);
   }
 }
 
 // raysched:hot
 std::uint64_t Service::serve_slot(std::uint64_t slot) {
-  if (monitor_.state() == HealthState::Quarantined || schedule_.empty()) {
-    return 0;
+  if (monitor_.state() == HealthState::Quarantined) return 0;
+  // The live subset: scheduled links still active with a backlog (links
+  // that left after adoption are skipped).
+  model::LinkSet& live = live_scratch_;
+  live.clear();
+  for (model::LinkId i : state_.schedule) {
+    if (state_.active[i] != 0 && state_.queues[i] > 0) live.push_back(i);
+  }
+  if (live.empty()) return 0;
+  // Max-weight sets are feasibility-certified, so under non-fading every
+  // live service succeeds. AHM samples sets that carry no certificate:
+  // evaluate the SINR of the live subset and serve only links that clear
+  // beta — the success/failure signal the probabilities feed on.
+  const bool certified =
+      config_.propagation == core::Propagation::NonFading &&
+      agent_.policy().kind() != PolicyKind::Ahm;
+  if (config_.propagation == core::Propagation::Rayleigh) {
+    util::RngStream rng = master_.derive(kFadingTag, slot);
+    model::sinr_rayleigh_all(net_, live, rng, sinr_scratch_);
+  } else if (!certified) {
+    model::sinr_nonfading_all(net_, live, sinr_scratch_);
   }
   std::uint64_t served = 0;
-  const bool certified = agent_.policy().kind() != PolicyKind::Ahm;
-  if (config_.propagation == core::Propagation::NonFading && certified) {
-    // Max-weight scheduled sets are feasibility-certified: every live
-    // service succeeds. Links that left after adoption are skipped.
-    for (model::LinkId i : schedule_) {
-      if (active_[i] != 0 && queue_[i] > 0) {
-        feedback_attempt_[i] = 1;
-        feedback_success_[i] = 1;
-        --queue_[i];
-        ++served;
-      }
-    }
-  } else if (config_.propagation == core::Propagation::NonFading) {
-    // AHM samples sets that carry no feasibility certificate: evaluate the
-    // deterministic SINR of the live subset and serve only links that
-    // clear beta — the success/failure signal the probabilities feed on.
-    model::LinkSet& live = live_scratch_;
-    live.clear();
-    for (model::LinkId i : schedule_) {
-      if (active_[i] != 0 && queue_[i] > 0) live.push_back(i);
-    }
-    if (!live.empty()) {
-      model::sinr_nonfading_all(net_, live, sinr_scratch_);
-      for (std::size_t a = 0; a < live.size(); ++a) {
-        feedback_attempt_[live[a]] = 1;
-        if (sinr_scratch_[a] >= config_.beta.value()) {
-          feedback_success_[live[a]] = 1;
-          --queue_[live[a]];
-          ++served;
-        }
-      }
-    }
-  } else {
-    model::LinkSet& live = live_scratch_;
-    live.clear();
-    for (model::LinkId i : schedule_) {
-      if (active_[i] != 0 && queue_[i] > 0) live.push_back(i);
-    }
-    if (!live.empty()) {
-      util::RngStream rng = master_.derive(kFadingTag, slot);
-      model::sinr_rayleigh_all(net_, live, rng, sinr_scratch_);
-      for (std::size_t a = 0; a < live.size(); ++a) {
-        feedback_attempt_[live[a]] = 1;
-        if (sinr_scratch_[a] >= config_.beta.value()) {
-          feedback_success_[live[a]] = 1;
-          --queue_[live[a]];
-          ++served;
-        }
-      }
+  for (std::size_t a = 0; a < live.size(); ++a) {
+    const model::LinkId i = live[a];
+    state_.feedback_attempt[i] = 1;
+    if (certified || sinr_scratch_[a] >= config_.beta.value()) {
+      state_.feedback_success[i] = 1;
+      --state_.queues[i];
+      ++served;
     }
   }
-  served_total_ += served;
+  state_.served_total += served;
   return served;
 }
 
@@ -405,8 +392,8 @@ ServeReport Service::run(std::uint64_t slots) {
 
   // raysched:hot(slot-loop)
   for (std::uint64_t step = 0; step < slots; ++step) {
-    const std::uint64_t slot = next_slot_;
-    const std::uint64_t drops_at_start = drops_.total();
+    const std::uint64_t slot = state_.next_slot;
+    const std::uint64_t drops_at_start = state_.drops.total();
 
     slot_events_.clear();
     burst_scratch.clear();
@@ -417,14 +404,15 @@ ServeReport Service::run(std::uint64_t slots) {
         case FaultKind::RecomputeDelay:
           // Saturating: a scripted pile-up of delay faults must push the
           // next submit's latency toward "never", not wrap it into "now".
-          pending_extra_latency_ = util::sat_add(
-              pending_extra_latency_, static_cast<std::uint64_t>(event.arg));
+          state_.pending_extra_latency =
+              util::sat_add(state_.pending_extra_latency,
+                            static_cast<std::uint64_t>(event.arg));
           break;
         case FaultKind::PoisonOn:
-          poison_active_ = true;
+          state_.poison_active = true;
           break;
         case FaultKind::PoisonOff:
-          poison_active_ = false;
+          state_.poison_active = false;
           break;
         case FaultKind::ChurnBurst:
           burst_scratch.push_back(event.arg);
@@ -450,38 +438,38 @@ ServeReport Service::run(std::uint64_t slots) {
     // One from-scratch backlog pass per slot feeds both the health monitor
     // and the conservation check; run() exit recounts independently.
     const std::uint64_t backlog = total_backlog();
-    monitor_.end_slot(slot, backlog, schedule_stale_);
+    monitor_.end_slot(slot, backlog, state_.schedule_stale);
     if (!conservation_holds(backlog)) conservation_violated_ = true;
 
     SlotDigest digest;
     digest.slot = slot;
     digest.arrivals = offered;
     digest.served = served;
-    digest.dropped = drops_.total() - drops_at_start;
+    digest.dropped = state_.drops.total() - drops_at_start;
     digest.backlog = backlog;
-    digest.schedule_epoch = schedule_epoch_;
+    digest.schedule_epoch = state_.schedule_epoch;
     digest.health = monitor_.state();
     digest_slot(digest);
     report.digests.push_back(digest);
     ++report.slots_run;
-    next_slot_ = slot + 1;
+    state_.next_slot = slot + 1;
 
     if (config_.snapshot_period > 0 &&
-        next_slot_ % config_.snapshot_period == 0) {
+        state_.next_slot % config_.snapshot_period == 0) {
       save_snapshot_atomic(config_.snapshot_path, snapshot());
     }
   }
 
-  report.next_slot = next_slot_;
-  report.arrivals = arrivals_total_;
-  report.admitted = admitted_total_;
-  report.served = served_total_;
+  report.next_slot = state_.next_slot;
+  report.arrivals = state_.arrivals_total;
+  report.admitted = state_.admitted_total;
+  report.served = state_.served_total;
   report.backlog = total_backlog();
-  report.drops = drops_;
-  report.recompute_timeouts = recompute_timeouts_;
-  report.recompute_failures = recompute_failures_;
-  report.recompute_adoptions = recompute_adoptions_;
-  report.schedule_epoch = schedule_epoch_;
+  report.drops = state_.drops;
+  report.recompute_timeouts = state_.recompute_timeouts;
+  report.recompute_failures = state_.recompute_failures;
+  report.recompute_adoptions = state_.recompute_adoptions;
+  report.schedule_epoch = state_.schedule_epoch;
   report.expected_rate = expected_rate_;
   report.health = monitor_.state();
   report.transitions = monitor_.transitions();
@@ -491,142 +479,97 @@ ServeReport Service::run(std::uint64_t slots) {
 }
 
 ServeSnapshot Service::snapshot() const {
-  ServeSnapshot snap;
-  snap.master_seed = config_.master_seed;
-  snap.num_links = net_.size();
-  snap.beta = config_.beta.value();
-  snap.propagation = to_string(config_.propagation);
-  snap.traffic_model = to_string(config_.traffic.model);
-  snap.policy = to_string(agent_.policy().kind());
-  snap.next_slot = next_slot_;
+  ServeSnapshot snap = state_;
   snap.health = monitor_.persisted();
-  snap.arrivals_total = arrivals_total_;
-  snap.admitted_total = admitted_total_;
-  snap.served_total = served_total_;
-  snap.dropped_capacity = drops_.capacity;
-  snap.dropped_shed = drops_.shed;
-  snap.dropped_churn = drops_.churn;
-  snap.dropped_quarantine = drops_.quarantine;
-  snap.stale_pruned = drops_.stale_pruned;
-  snap.recompute_timeouts = recompute_timeouts_;
-  snap.recompute_failures = recompute_failures_;
-  snap.recompute_adoptions = recompute_adoptions_;
-  snap.schedule_epoch = schedule_epoch_;
-  snap.schedule_stale = schedule_stale_;
-  snap.schedule = schedule_;
-  snap.queues = queue_;
-  snap.active = active_;
   snap.burst_state = traffic_.burst_state();
-  snap.departed_flags = departed_flags_;
-  snap.feedback_attempt = feedback_attempt_;
-  snap.feedback_success = feedback_success_;
-  if (agent_.in_flight()) {
-    snap.recompute.in_flight = true;
-    snap.recompute.submit_slot = agent_.submit_slot();
-    snap.recompute.latency_slots = agent_.latency_slots();
-    snap.recompute.timed_out = inflight_timed_out_;
-    snap.recompute.poisoned = inflight_poisoned_;
-    // Always the *clean* copy: the agent's own input may hold NaNs.
-    snap.recompute.weights = inflight_clean_weights_;
-    // The loop-owned request copy is safe to read mid-flight; the worker
-    // task computes on its own copy.
-    const ScheduleRequest& pending = agent_.pending_request();
-    snap.recompute.departed = pending.departed;
-    snap.recompute.feedback_schedule = pending.feedback_schedule;
-    snap.recompute.feedback_success = pending.feedback_success;
-    // Pre-submit capture: restore replays the resubmission onto it.
-    snap.policy_state = inflight_policy_state_;
-  } else {
+  if (!agent_.in_flight()) {
     snap.policy_state = agent_.policy().persisted_state();
+    return snap;
   }
-  snap.backoff_slots = backoff_slots_;
-  snap.cooldown_until = cooldown_until_;
-  snap.pending_extra_latency = pending_extra_latency_;
-  snap.poison_active = poison_active_;
+  // state_.policy_state already holds the pre-submit capture that restore
+  // replays the resubmission onto. The agent's request is loop-owned and
+  // immutable while in flight, so it is safe to read here.
+  const ScheduleRequest& pending = agent_.pending_request();
+  snap.recompute.in_flight = true;
+  snap.recompute.submit_slot = agent_.submit_slot();
+  snap.recompute.latency_slots = agent_.latency_slots();
+  if (snap.recompute.poisoned) {
+    // The request holds NaNs; any finite weights replay the same failure.
+    snap.recompute.weights.assign(pending.weights.size(), 0.0);
+  } else {
+    snap.recompute.weights = pending.weights;
+  }
+  snap.recompute.departed = pending.departed;
+  snap.recompute.feedback_schedule = pending.feedback_schedule;
+  snap.recompute.feedback_success = pending.feedback_success;
   return snap;
 }
 
 void Service::restore(const ServeSnapshot& snap) {
-  require(next_slot_ == 0 && arrivals_total_ == 0 && !agent_.in_flight(),
+  require(state_.next_slot == 0 && state_.arrivals_total == 0 &&
+              !agent_.in_flight(),
           "Service::restore: only a freshly constructed service can restore");
-  require_code(snap.master_seed == config_.master_seed,
+  const auto fingerprint = [](bool same, const char* what) {
+    require_code(same, ErrorCode::SnapshotFormat,
+                 std::string("Service::restore: ") + what + " mismatch");
+  };
+  fingerprint(snap.master_seed == state_.master_seed, "master seed");
+  fingerprint(snap.num_links == state_.num_links, "link count");
+  fingerprint(snap.beta == state_.beta, "beta");
+  fingerprint(snap.propagation == state_.propagation, "propagation");
+  fingerprint(snap.traffic_model == state_.traffic_model, "traffic model");
+  fingerprint(snap.policy == state_.policy, "schedule policy");
+  const std::size_t n = state_.num_links;
+  require_code(snap.queues.size() == n && snap.active.size() == n &&
+                   snap.departed_flags.size() == n &&
+                   snap.feedback_attempt.size() == n &&
+                   snap.feedback_success.size() == n,
                ErrorCode::SnapshotFormat,
-               "Service::restore: master seed mismatch");
-  require_code(snap.num_links == net_.size(), ErrorCode::SnapshotFormat,
-               "Service::restore: link count mismatch");
-  require_code(snap.beta == config_.beta.value(), ErrorCode::SnapshotFormat,
-               "Service::restore: beta mismatch");
-  require_code(snap.propagation == to_string(config_.propagation),
-               ErrorCode::SnapshotFormat,
-               "Service::restore: propagation mismatch");
-  require_code(snap.traffic_model == to_string(config_.traffic.model),
-               ErrorCode::SnapshotFormat,
-               "Service::restore: traffic model mismatch");
-  require_code(snap.policy == to_string(agent_.policy().kind()),
-               ErrorCode::SnapshotFormat,
-               "Service::restore: schedule policy mismatch");
-  require_code(snap.departed_flags.size() == net_.size() &&
-                   snap.feedback_attempt.size() == net_.size() &&
-                   snap.feedback_success.size() == net_.size(),
-               ErrorCode::SnapshotFormat,
-               "Service::restore: flag vector size mismatch");
+               "Service::restore: per-link vector size mismatch");
+  // serve_slot decrements each live link once per schedule entry, so a
+  // repeated id would serve one queue twice.
+  std::vector<char> scheduled(n, 0);
+  for (std::size_t id : snap.schedule) {
+    require_code(id < n && std::exchange(scheduled[id], 1) == 0,
+                 ErrorCode::SnapshotFormat,
+                 "Service::restore: schedule id out of range or repeated");
+  }
 
-  next_slot_ = snap.next_slot;
-  monitor_.restore(snap.health);
-  arrivals_total_ = snap.arrivals_total;
-  admitted_total_ = snap.admitted_total;
-  served_total_ = snap.served_total;
-  drops_.capacity = snap.dropped_capacity;
-  drops_.shed = snap.dropped_shed;
-  drops_.churn = snap.dropped_churn;
-  drops_.quarantine = snap.dropped_quarantine;
-  drops_.stale_pruned = snap.stale_pruned;
-  recompute_timeouts_ = snap.recompute_timeouts;
-  recompute_failures_ = snap.recompute_failures;
-  recompute_adoptions_ = snap.recompute_adoptions;
-  schedule_epoch_ = snap.schedule_epoch;
-  schedule_stale_ = snap.schedule_stale;
-  schedule_ = snap.schedule;
-  queue_ = snap.queues;
-  active_ = snap.active;
-  traffic_.set_burst_state(snap.burst_state);
-  departed_flags_ = snap.departed_flags;
-  feedback_attempt_ = snap.feedback_attempt;
-  feedback_success_ = snap.feedback_success;
-  backoff_slots_ = snap.backoff_slots;
-  cooldown_until_ = snap.cooldown_until;
-  pending_extra_latency_ = snap.pending_extra_latency;
-  poison_active_ = snap.poison_active;
+  state_ = snap;
+  // Hand the parts other objects own back to them; state_ keeps only the
+  // loop's own fields (and, while in flight, the pre-submit policy state).
+  monitor_.restore(std::exchange(state_.health, {}));
+  traffic_.set_burst_state(std::exchange(state_.burst_state, {}));
+  RecomputeSnapshot inflight = std::exchange(state_.recompute, {});
+  state_.recompute.timed_out = inflight.timed_out;
+  state_.recompute.poisoned = inflight.poisoned;
 
   // Rehydrate the policy before any resubmission: the persisted state is
   // the pre-submit capture, so replaying the request below reproduces the
   // exact post-submit policy state of the killed service.
   try {
-    agent_.policy().restore_state(snap.policy_state);
+    agent_.policy().restore_state(state_.policy_state);
   } catch (const error& e) {
     throw coded_error(ErrorCode::SnapshotFormat, e.what());
   }
-
-  if (snap.recompute.in_flight) {
-    // Resubmit the interrupted recompute with its original submit slot and
-    // latency, so the adoption slot — and thus the trajectory — is
-    // preserved. A poisoned request is re-corrupted before submission.
-    inflight_clean_weights_ = snap.recompute.weights;
-    inflight_policy_state_ = snap.policy_state;
-    inflight_timed_out_ = snap.recompute.timed_out;
-    inflight_poisoned_ = snap.recompute.poisoned;
-    ScheduleRequest request;
-    request.weights = snap.recompute.weights;
-    request.departed = snap.recompute.departed;
-    request.feedback_schedule = snap.recompute.feedback_schedule;
-    request.feedback_success = snap.recompute.feedback_success;
-    if (inflight_poisoned_) {
-      std::fill(request.weights.begin(), request.weights.end(),
-                std::numeric_limits<double>::quiet_NaN());
-    }
-    agent_.submit(snap.recompute.submit_slot, std::move(request),
-                  snap.recompute.latency_slots);
+  if (!inflight.in_flight) {
+    state_.policy_state.clear();
+    return;
   }
+  // Resubmit the interrupted recompute with its original submit slot and
+  // latency, so the adoption slot — and thus the trajectory — is
+  // preserved. A poisoned request is re-corrupted before submission.
+  ScheduleRequest request;
+  request.weights = std::move(inflight.weights);
+  request.departed = std::move(inflight.departed);
+  request.feedback_schedule = std::move(inflight.feedback_schedule);
+  request.feedback_success = std::move(inflight.feedback_success);
+  if (inflight.poisoned) {
+    std::fill(request.weights.begin(), request.weights.end(),
+              std::numeric_limits<double>::quiet_NaN());
+  }
+  agent_.submit(inflight.submit_slot, std::move(request),
+                inflight.latency_slots);
 }
 
 }  // namespace raysched::serve

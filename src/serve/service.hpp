@@ -108,22 +108,6 @@ struct ServeConfig {
   FaultScript faults;
 };
 
-/// Exact drop accounting — nothing is ever lost silently.
-struct DropStats {
-  std::uint64_t capacity = 0;    ///< queue at cap (normal admission)
-  std::uint64_t shed = 0;        ///< overload admission threshold
-  std::uint64_t churn = 0;       ///< backlog of links that left
-  std::uint64_t quarantine = 0;  ///< arrivals refused while quarantined
-  /// Schedule entries pruned at adoption because the link departed while
-  /// the recompute was in flight (the stale-weights churn bug). Counts
-  /// pruned *links*, not packets — their backlog was already booked under
-  /// `churn` when the link left — so it is deliberately NOT in total().
-  std::uint64_t stale_pruned = 0;
-  [[nodiscard]] std::uint64_t total() const {
-    return capacity + shed + churn + quarantine;
-  }
-};
-
 /// One slot's closing record; the unit of bit-identity comparison.
 struct SlotDigest {
   std::uint64_t slot = 0;
@@ -186,7 +170,7 @@ class Service {
   /// fingerprint mismatch and raysched::error if slots were already run.
   void restore(const ServeSnapshot& snap);
 
-  [[nodiscard]] std::uint64_t next_slot() const { return next_slot_; }
+  [[nodiscard]] std::uint64_t next_slot() const { return state_.next_slot; }
   [[nodiscard]] const HealthMonitor& health() const { return monitor_; }
   [[nodiscard]] const ServeConfig& config() const { return config_; }
   [[nodiscard]] const model::Network& network() const { return net_; }
@@ -214,49 +198,18 @@ class Service {
   ScheduleAgent agent_;
   HealthMonitor monitor_;
 
-  std::uint64_t next_slot_ = 0;
-  std::vector<std::uint64_t> queue_;
-  std::vector<char> active_;
-  model::LinkSet schedule_;
-  std::uint64_t schedule_epoch_ = 0;
-  bool schedule_stale_ = false;
+  // The loop-owned persisted state, held once (serve/snapshot.hpp). The
+  // parts other objects own (health, burst_state, recompute apart from its
+  // timed_out/poisoned flags) stay at their defaults; snapshot() fills them
+  // in. policy_state holds the policy state captured just *before* the
+  // in-flight submit, so a restore replays the resubmitted request onto
+  // it, and is empty while idle. departed_flags doubles as the next
+  // request's churn payload and, while a recompute is in flight, the
+  // adoption-time stale-schedule pruning set.
+  ServeSnapshot state_;
 
-  // Churn/feedback accumulators since the last submit (size n). departed_
-  // flags_ doubles as the next request's churn payload and — while a
-  // recompute is in flight — the adoption-time stale-schedule pruning set.
-  std::vector<char> departed_flags_;
-  std::vector<char> feedback_attempt_;  // scheduled with demand this window
-  std::vector<char> feedback_success_;  // served at least one packet
   double expected_rate_ = 0.0;  // last adopted schedule's diagnostic
-  // submit_recompute scratch for the overload shed partition, reused across
-  // submits (zero-alloc after warm-up).
-  std::vector<model::LinkId> heavy_scratch_;
-
-  // Recompute bookkeeping mirrored into snapshots.
-  bool inflight_timed_out_ = false;
-  bool inflight_poisoned_ = false;
-  std::vector<double> inflight_clean_weights_;
-  /// Policy state captured immediately *before* the in-flight submit, so a
-  /// snapshot + restore can replay the resubmitted request onto it.
-  std::vector<double> inflight_policy_state_;
-  std::uint64_t backoff_slots_ = 0;
-  std::uint64_t cooldown_until_ = 0;
-
-  // Fault-injector state that crosses slots.
-  std::uint64_t pending_extra_latency_ = 0;
-  bool poison_active_ = false;
-
-  // Lifetime counters (exact integers).
-  std::uint64_t arrivals_total_ = 0;
-  std::uint64_t admitted_total_ = 0;
-  std::uint64_t served_total_ = 0;
-  DropStats drops_;
-  std::uint64_t recompute_timeouts_ = 0;
-  std::uint64_t recompute_failures_ = 0;
-  std::uint64_t recompute_adoptions_ = 0;
-
   bool conservation_violated_ = false;  // latched for reporting, not state
-
   std::uint64_t hash_ = 14695981039346656037ULL;  // FNV-1a offset basis
 
   // Reusable scratch buffers (DESIGN.md "scratch-buffer convention"): each
@@ -269,6 +222,7 @@ class Service {
   model::LinkSet live_scratch_;                     // servable schedule subset
   std::vector<double> sinr_scratch_;                // Rayleigh realizations
   std::vector<model::LinkId> churn_scratch_;        // burst victim candidates
+  std::vector<model::LinkId> heavy_scratch_;        // overload shed partition
 };
 
 }  // namespace raysched::serve

@@ -91,9 +91,9 @@ void write_snapshot(std::ostream& os, const ServeSnapshot& snap) {
      << (snap.health.overload_latch ? 1 : 0) << "\n";
   os << "counters " << snap.arrivals_total << " " << snap.admitted_total
      << " " << snap.served_total << "\n";
-  os << "drops " << snap.dropped_capacity << " " << snap.dropped_shed << " "
-     << snap.dropped_churn << " " << snap.dropped_quarantine << " "
-     << snap.stale_pruned << "\n";
+  os << "drops " << snap.drops.capacity << " " << snap.drops.shed << " "
+     << snap.drops.churn << " " << snap.drops.quarantine << " "
+     << snap.drops.stale_pruned << "\n";
   os << "recompute-stats " << snap.recompute_timeouts << " "
      << snap.recompute_failures << " " << snap.recompute_adoptions << "\n";
   os << "epoch " << snap.schedule_epoch << " stale "
@@ -137,7 +137,7 @@ void write_snapshot(std::ostream& os, const ServeSnapshot& snap) {
        << (snap.recompute.poisoned ? 1 : 0) << "\n";
     os << "weights " << n << " :";
     for (double w : snap.recompute.weights) {
-      // The poisoned variant stores *clean* weights + the flag above; a
+      // A poisoned request is stored as zeros + the flag above; a
       // non-finite value here is a service bug, not a serializable state.
       require_code(std::isfinite(w), ErrorCode::SnapshotFormat,
                    "write_snapshot: in-flight weights must be finite");
@@ -239,11 +239,11 @@ ServeSnapshot read_snapshot(std::istream& is) {
   snap.admitted_total = read_u64(is, "admitted");
   snap.served_total = read_u64(is, "served");
   expect_token(is, "drops");
-  snap.dropped_capacity = read_u64(is, "capacity drops");
-  snap.dropped_shed = read_u64(is, "shed drops");
-  snap.dropped_churn = read_u64(is, "churn drops");
-  snap.dropped_quarantine = read_u64(is, "quarantine drops");
-  snap.stale_pruned = read_u64(is, "stale-pruned count");
+  snap.drops.capacity = read_u64(is, "capacity drops");
+  snap.drops.shed = read_u64(is, "shed drops");
+  snap.drops.churn = read_u64(is, "churn drops");
+  snap.drops.quarantine = read_u64(is, "quarantine drops");
+  snap.drops.stale_pruned = read_u64(is, "stale-pruned count");
   expect_token(is, "recompute-stats");
   snap.recompute_timeouts = read_u64(is, "recompute timeouts");
   snap.recompute_failures = read_u64(is, "recompute failures");

@@ -14,8 +14,16 @@
 //
 //   * Doubles round-trip as max_digits10 text (exact for finite values).
 //     The one non-finite hazard — NaN-poisoned recompute weights in flight
-//     at snapshot time — is stored as the *clean* pre-poison weights plus a
-//     poisoned flag; restore re-applies the corruption before resubmitting.
+//     at snapshot time — is stored as finite zeros plus a poisoned flag;
+//     restore re-applies the corruption before resubmitting. The weights'
+//     values never matter: the agent's validation rejects the NaN-filled
+//     request before any policy reads it.
+//
+//   * The state is held once. Service keeps its loop-owned fields in a
+//     ServeSnapshot member, so snapshot() copies that member and fills in
+//     only what other objects own (health monitor, burst modulator, policy
+//     state, the agent's in-flight request); restore() assigns the member
+//     and hands those parts back to their owners.
 //
 // The header also carries a fingerprint (seed, n, beta, traffic model);
 // restore refuses a snapshot whose fingerprint does not match the service
@@ -36,6 +44,22 @@
 
 namespace raysched::serve {
 
+/// Exact drop accounting — nothing is ever lost silently.
+struct DropStats {
+  std::uint64_t capacity = 0;    ///< queue at cap (normal admission)
+  std::uint64_t shed = 0;        ///< overload admission threshold
+  std::uint64_t churn = 0;       ///< backlog of links that left
+  std::uint64_t quarantine = 0;  ///< arrivals refused while quarantined
+  /// Schedule entries pruned at adoption because the link departed while
+  /// the recompute was in flight (the stale-weights churn bug). Counts
+  /// pruned *links*, not packets — their backlog was already booked under
+  /// `churn` when the link left — so it is deliberately NOT in total().
+  std::uint64_t stale_pruned = 0;
+  [[nodiscard]] std::uint64_t total() const {
+    return capacity + shed + churn + quarantine;
+  }
+};
+
 /// Mid-flight recompute request, captured so restore can resubmit it.
 struct RecomputeSnapshot {
   bool in_flight = false;
@@ -46,7 +70,8 @@ struct RecomputeSnapshot {
   bool timed_out = false;
   /// Weights were NaN-corrupted at submit (poison fault window).
   bool poisoned = false;
-  /// Clean (pre-poison) weight inputs; always finite, so they serialize.
+  /// The request's weights; zeros when `poisoned` (the NaN-filled request
+  /// fails validation whatever its weights), so they always serialize.
   std::vector<double> weights;
   /// The request's churn payload: links that had departed since the submit
   /// before this one (ScheduleRequest::departed), resubmitted verbatim.
@@ -80,14 +105,7 @@ struct ServeSnapshot {
   std::uint64_t arrivals_total = 0;
   std::uint64_t admitted_total = 0;
   std::uint64_t served_total = 0;
-  std::uint64_t dropped_capacity = 0;
-  std::uint64_t dropped_shed = 0;
-  std::uint64_t dropped_churn = 0;
-  std::uint64_t dropped_quarantine = 0;
-  /// Schedule entries pruned at adoption because their link departed while
-  /// the recompute was in flight. Counts links, not packets — excluded from
-  /// the packet-conservation total (see DropStats::stale_pruned).
-  std::uint64_t stale_pruned = 0;
+  DropStats drops;
   std::uint64_t recompute_timeouts = 0;
   std::uint64_t recompute_failures = 0;
   std::uint64_t recompute_adoptions = 0;

@@ -313,11 +313,11 @@ ServeSnapshot sample_snapshot() {
   snap.arrivals_total = 1000;
   snap.admitted_total = 990;
   snap.served_total = 900;
-  snap.dropped_capacity = 4;
-  snap.dropped_shed = 3;
-  snap.dropped_churn = 2;
-  snap.dropped_quarantine = 1;
-  snap.stale_pruned = 9;
+  snap.drops.capacity = 4;
+  snap.drops.shed = 3;
+  snap.drops.churn = 2;
+  snap.drops.quarantine = 1;
+  snap.drops.stale_pruned = 9;
   snap.recompute_timeouts = 5;
   snap.recompute_failures = 6;
   snap.recompute_adoptions = 70;
@@ -364,11 +364,11 @@ TEST(ServeSnapshot, RoundTripsEveryField) {
   EXPECT_EQ(back.health.clean_slots, snap.health.clean_slots);
   EXPECT_EQ(back.arrivals_total, snap.arrivals_total);
   EXPECT_EQ(back.served_total, snap.served_total);
-  EXPECT_EQ(back.dropped_capacity, snap.dropped_capacity);
-  EXPECT_EQ(back.dropped_shed, snap.dropped_shed);
-  EXPECT_EQ(back.dropped_churn, snap.dropped_churn);
-  EXPECT_EQ(back.dropped_quarantine, snap.dropped_quarantine);
-  EXPECT_EQ(back.stale_pruned, snap.stale_pruned);
+  EXPECT_EQ(back.drops.capacity, snap.drops.capacity);
+  EXPECT_EQ(back.drops.shed, snap.drops.shed);
+  EXPECT_EQ(back.drops.churn, snap.drops.churn);
+  EXPECT_EQ(back.drops.quarantine, snap.drops.quarantine);
+  EXPECT_EQ(back.drops.stale_pruned, snap.drops.stale_pruned);
   EXPECT_EQ(back.schedule_epoch, snap.schedule_epoch);
   EXPECT_EQ(back.schedule_stale, snap.schedule_stale);
   EXPECT_EQ(back.schedule, snap.schedule);

@@ -211,6 +211,29 @@ TEST(ServeFaults, RestoreRefusesFingerprintMismatch) {
   EXPECT_THROW(used.restore(snap), raysched::error);
 }
 
+TEST(ServeFaults, RestoreRefusesMalformedPerLinkState) {
+  // serve_slot gathers the live subset before serving it, so a repeated
+  // schedule id would decrement one queue twice; a short per-link vector
+  // would be indexed out of bounds.
+  ServeConfig config = base_config();
+  Service a(serve_network(), config);
+  (void)a.run(20);
+  ServeSnapshot repeated = a.snapshot();
+  ASSERT_FALSE(repeated.schedule.empty());
+  repeated.schedule.push_back(repeated.schedule.front());
+  ServeSnapshot short_queues = a.snapshot();
+  short_queues.queues.pop_back();
+  for (const ServeSnapshot& snap : {repeated, short_queues}) {
+    Service fresh(serve_network(), config);
+    try {
+      fresh.restore(snap);
+      FAIL() << "malformed per-link state accepted";
+    } catch (const coded_error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::SnapshotFormat);
+    }
+  }
+}
+
 TEST(ServeFaults, TimeoutServesStaleAndRetriesWithBackoff) {
   ServeConfig config = base_config();
   // Push the slot-40 recompute 10 slots past its 6-slot deadline.
@@ -524,6 +547,204 @@ TEST(ServeFaults, RunResumesAcrossCalls) {
   EXPECT_EQ(second.trajectory_hash, full.trajectory_hash);
   EXPECT_EQ(second.served, full.served);
   EXPECT_EQ(second.next_slot, full.next_slot);
+}
+
+// ---- snapshot state ownership ---------------------------------------------
+
+void expect_same_snapshot(const ServeSnapshot& a, const ServeSnapshot& b) {
+  EXPECT_EQ(a.master_seed, b.master_seed);
+  EXPECT_EQ(a.num_links, b.num_links);
+  EXPECT_EQ(a.beta, b.beta);
+  EXPECT_EQ(a.propagation, b.propagation);
+  EXPECT_EQ(a.traffic_model, b.traffic_model);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.next_slot, b.next_slot);
+  EXPECT_EQ(a.health.state, b.health.state);
+  EXPECT_EQ(a.health.poison_streak, b.health.poison_streak);
+  EXPECT_EQ(a.health.clean_slots, b.health.clean_slots);
+  EXPECT_EQ(a.health.quarantine_latch, b.health.quarantine_latch);
+  EXPECT_EQ(a.health.overload_latch, b.health.overload_latch);
+  EXPECT_EQ(a.arrivals_total, b.arrivals_total);
+  EXPECT_EQ(a.admitted_total, b.admitted_total);
+  EXPECT_EQ(a.served_total, b.served_total);
+  EXPECT_EQ(a.drops.capacity, b.drops.capacity);
+  EXPECT_EQ(a.drops.shed, b.drops.shed);
+  EXPECT_EQ(a.drops.churn, b.drops.churn);
+  EXPECT_EQ(a.drops.quarantine, b.drops.quarantine);
+  EXPECT_EQ(a.drops.stale_pruned, b.drops.stale_pruned);
+  EXPECT_EQ(a.recompute_timeouts, b.recompute_timeouts);
+  EXPECT_EQ(a.recompute_failures, b.recompute_failures);
+  EXPECT_EQ(a.recompute_adoptions, b.recompute_adoptions);
+  EXPECT_EQ(a.schedule_epoch, b.schedule_epoch);
+  EXPECT_EQ(a.schedule_stale, b.schedule_stale);
+  EXPECT_EQ(a.schedule, b.schedule);
+  EXPECT_EQ(a.queues, b.queues);
+  EXPECT_EQ(a.active, b.active);
+  EXPECT_EQ(a.burst_state, b.burst_state);
+  EXPECT_EQ(a.departed_flags, b.departed_flags);
+  EXPECT_EQ(a.feedback_attempt, b.feedback_attempt);
+  EXPECT_EQ(a.feedback_success, b.feedback_success);
+  EXPECT_EQ(a.policy_state, b.policy_state);
+  EXPECT_EQ(a.recompute.in_flight, b.recompute.in_flight);
+  EXPECT_EQ(a.recompute.submit_slot, b.recompute.submit_slot);
+  EXPECT_EQ(a.recompute.latency_slots, b.recompute.latency_slots);
+  EXPECT_EQ(a.recompute.timed_out, b.recompute.timed_out);
+  EXPECT_EQ(a.recompute.poisoned, b.recompute.poisoned);
+  EXPECT_EQ(a.recompute.weights, b.recompute.weights);
+  EXPECT_EQ(a.recompute.departed, b.recompute.departed);
+  EXPECT_EQ(a.recompute.feedback_schedule, b.recompute.feedback_schedule);
+  EXPECT_EQ(a.recompute.feedback_success, b.recompute.feedback_success);
+  EXPECT_EQ(a.backoff_slots, b.backoff_slots);
+  EXPECT_EQ(a.cooldown_until, b.cooldown_until);
+  EXPECT_EQ(a.pending_extra_latency, b.pending_extra_latency);
+  EXPECT_EQ(a.poison_active, b.poison_active);
+}
+
+TEST(ServeSnapshot, RestoreThenSnapshotIsFieldForFieldEqual) {
+  // snapshot -> restore on a fresh service -> snapshot must reproduce every
+  // field: idle, mid-flight after the deadline, and mid-flight poisoned
+  // (stored as zero weights). Both policies; bursty traffic puts the
+  // modulator state in play too.
+  struct Point {
+    const char* faults;
+    std::uint64_t slots;  // run this many slots, then snapshot
+    bool in_flight, timed_out, poisoned;
+  };
+  // The slot-8 submit is adopted at 10 (idle at 12); a delay stretches it
+  // past its slot-14 deadline; a poison window corrupts it.
+  const Point points[] = {{"", 12, false, false, false},
+                          {"7:delay:10", 15, true, true, false},
+                          {"7:poison-on", 9, true, false, true}};
+  for (PolicyKind policy : {PolicyKind::MaxWeight, PolicyKind::Ahm}) {
+    for (const Point& point : points) {
+      SCOPED_TRACE(std::string(to_string(policy)) + " '" + point.faults +
+                   "'");
+      ServeConfig config = base_config();
+      config.policy = policy;
+      config.traffic.model = TrafficModel::Bursty;
+      config.faults = FaultScript::parse(point.faults);
+      Service a(serve_network(), config);
+      (void)a.run(point.slots);
+      const ServeSnapshot first = a.snapshot();
+      ASSERT_EQ(first.recompute.in_flight, point.in_flight);
+      EXPECT_EQ(first.recompute.timed_out, point.timed_out);
+      EXPECT_EQ(first.recompute.poisoned, point.poisoned);
+      if (point.poisoned) {
+        EXPECT_EQ(first.recompute.weights,
+                  std::vector<double>(serve_network().size(), 0.0));
+      }
+
+      Service b(serve_network(), config);
+      b.restore(first);
+      expect_same_snapshot(b.snapshot(), first);
+      expect_same_digests(b.run(40).digests, a.run(40).digests);
+    }
+  }
+}
+
+// Mid-flight snapshots in the `raysched-serve-snapshot 2` format, each
+// written by the service before it held its state in one snapshot member,
+// with the trajectory hash of the 120 slots it then ran after a restore:
+// an AHM request past its deadline, and a poisoned max-weight request that
+// still carries the pre-poison weights that service wrote.
+struct SnapshotFixture {
+  const char* text;
+  std::uint64_t continuation_hash;
+};
+
+ServeConfig fixture_config(PolicyKind policy) {
+  ServeConfig config = base_config();
+  config.policy = policy;
+  if (policy == PolicyKind::Ahm) {
+    config.traffic.model = TrafficModel::Bursty;
+    config.churn_leave = units::Probability(0.01);
+    config.churn_join = units::Probability(0.05);
+    config.faults =
+        FaultScript::parse("40:delay:10,260:churn-burst:0.2,290:delay:10");
+  } else {
+    config.faults = FaultScript::parse("118:poison-on,140:poison-off");
+  }
+  return config;
+}
+
+const SnapshotFixture kAhmFixture = {
+    R"(raysched-serve-snapshot 2
+seed 31
+links 16
+beta 2.5
+propagation nonfading
+traffic bursty
+policy ahm
+slot 303
+health degraded 0 0 0 0
+counters 465 465 373
+drops 0 0 77 0 5
+recompute-stats 2 0 36
+epoch 36 stale 1
+schedule 5 : 0 4 11 12 15
+queues 16 : 0 3 5 0 0 1 0 1 1 0 3 0 0 0 0 1
+active 16 : 1 1 1 0 1 1 1 1 1 1 1 1 1 1 0 1
+departed 16 : 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0
+attempt 16 : 1 0 0 0 0 0 0 0 0 0 0 1 0 0 0 1
+success 16 : 1 0 0 0 0 0 0 0 0 0 0 1 0 0 0 1
+burst 16 : 0 0 1 0 0 0 0 0 1 0 0 0 0 0 0 0
+inflight 1 296 12 1 0
+weights 16 : 1 3 0 0 0 1 0 1 1 0 3 0 0 0 0 4
+inflight-departed 1 : 14
+inflight-feedback 6 : 0 1 1 1 4 1 11 1 12 1 15 1
+backoff 4 306
+faultstate 0 0
+policy-state 16 : 1 1 1 1 1 1 1 1 1 0.5 1 1 1 1 1 1
+end
+)",
+    0xd4ae47fd6600fb94ULL};
+
+const SnapshotFixture kPoisonedFixture = {
+    R"(raysched-serve-snapshot 2
+seed 31
+links 16
+beta 2.5
+propagation nonfading
+traffic poisson
+policy max-weight
+slot 121
+health healthy 0 137 0 0
+counters 606 606 581
+drops 0 0 0 0 0
+recompute-stats 0 0 15
+epoch 15 stale 0
+schedule 6 : 2 6 12 13 14 15
+queues 16 : 1 2 4 2 2 2 0 1 1 2 2 3 0 0 0 3
+active 16 : 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1
+departed 16 : 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0
+attempt 16 : 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 1
+success 16 : 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 1
+burst 0 :
+inflight 1 120 2 0 1
+weights 16 : 1 2 5 2 2 2 0 1 1 2 2 3 0 0 0 4
+inflight-departed 0 :
+inflight-feedback 7 : 2 1 6 1 9 1 12 1 13 1 14 1 15 1
+backoff 0 114
+faultstate 0 1
+policy-state 0 :
+end
+)",
+    0x3e872dbdc2db2778ULL};
+
+TEST(ServeSnapshot, EarlierFormatFixturesReplayToRecordedHashes) {
+  for (PolicyKind policy : {PolicyKind::Ahm, PolicyKind::MaxWeight}) {
+    SCOPED_TRACE(to_string(policy));
+    const SnapshotFixture& fixture =
+        policy == PolicyKind::Ahm ? kAhmFixture : kPoisonedFixture;
+    std::istringstream is(fixture.text);
+    const ServeSnapshot snap = read_snapshot(is);
+    ASSERT_TRUE(snap.recompute.in_flight);
+    Service service(serve_network(), fixture_config(policy));
+    service.restore(snap);
+    const ServeReport report = service.run(120);
+    EXPECT_EQ(report.trajectory_hash, fixture.continuation_hash);
+    EXPECT_TRUE(report.conservation_ok);
+  }
 }
 
 }  // namespace

@@ -31,6 +31,14 @@ using namespace raysched;
 
 namespace {
 
+// Count flags are cast to std::size_t: reject negatives instead of letting
+// the cast wrap them (--links=-5 would otherwise ask for 2^64 - 5 links).
+std::size_t count_flag(const util::Flags& flags, const std::string& name) {
+  const long long value = flags.get_int(name);
+  require(value >= 0, "--" + name + " must be non-negative");
+  return static_cast<std::size_t>(value);
+}
+
 int cmd_generate(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("links", 100, "number of links");
@@ -50,7 +58,7 @@ int cmd_generate(int argc, char** argv) {
   }
   util::RngStream rng(static_cast<std::uint64_t>(flags.get_int("seed")));
   model::RandomPlaneParams params;
-  params.num_links = static_cast<std::size_t>(flags.get_int("links"));
+  params.num_links = count_flag(flags, "links");
   params.plane_size = flags.get_double("plane");
   params.min_length = flags.get_double("min-length");
   params.max_length = flags.get_double("max-length");
@@ -209,7 +217,7 @@ int cmd_simulate(int argc, char** argv) {
       core::expected_rayleigh_successes(net, units::probabilities(q), units::Threshold(flags.get_double("beta")));
   const double nonfading = core::expected_nonfading_successes_mc(
       net, units::probabilities(q), units::Threshold(flags.get_double("beta")),
-      static_cast<std::size_t>(flags.get_int("trials")), rng);
+      count_flag(flags, "trials"), rng);
   std::cout << "expected successes at q=" << flags.get_double("q")
             << ": non-fading(MC)=" << nonfading
             << " rayleigh(exact)=" << rayleigh << "\n";
@@ -250,11 +258,10 @@ int cmd_sweep(int argc, char** argv) {
   }
 
   sim::ExperimentConfig config;
-  config.num_networks = static_cast<std::size_t>(flags.get_int("networks"));
-  config.trials_per_network =
-      static_cast<std::size_t>(flags.get_int("trials"));
+  config.num_networks = count_flag(flags, "networks");
+  config.trials_per_network = count_flag(flags, "trials");
   config.master_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.num_threads = static_cast<std::size_t>(flags.get_int("threads"));
+  config.num_threads = count_flag(flags, "threads");
   const std::string policy = flags.get_string("fault-policy");
   if (policy == "abort") {
     config.fault_policy = sim::FaultPolicy::Abort;
@@ -265,15 +272,14 @@ int cmd_sweep(int argc, char** argv) {
   } else {
     throw error("sweep: unknown --fault-policy " + policy);
   }
-  config.max_retries = static_cast<std::size_t>(flags.get_int("max-retries"));
+  config.max_retries = count_flag(flags, "max-retries");
   config.cell_time_limit = flags.get_double("cell-time-limit");
   config.checkpoint_path = flags.get_string("checkpoint");
-  config.checkpoint_every =
-      static_cast<std::size_t>(flags.get_int("checkpoint-every"));
+  config.checkpoint_every = count_flag(flags, "checkpoint-every");
   config.resume_from = flags.get_string("resume");
   config.deadline = flags.get_double("deadline");
 
-  const auto num_links = static_cast<std::size_t>(flags.get_int("links"));
+  const std::size_t num_links = count_flag(flags, "links");
   const double beta = flags.get_double("beta");
   const double q = flags.get_double("q");
   require(q >= 0.0 && q <= 1.0, "sweep: --q must be in [0,1]");
@@ -394,7 +400,9 @@ int main(int argc, char** argv) {
     std::cerr << "unknown command '" << command << "'\n";
     print_usage();
     return 1;
-  } catch (const error& e) {
+  } catch (const std::exception& e) {
+    // raysched::error and resource failures (bad_alloc, length_error)
+    // alike exit 1 with a message, never abort.
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
